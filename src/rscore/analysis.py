@@ -1,15 +1,15 @@
 """Rank correlation and reference-set stability analysis.
 
-The stability sweep re-runs the whole pipeline with growing prefixes of the
-reference set and measures how much the candidate ranking moves, using
-Spearman's rank correlation between consecutive prefix sizes and between the
-smallest and largest.
+The stability sweep re-solves the model for growing prefixes of the reference
+set and measures how much the candidate ranking moves, using Spearman's rank
+correlation between consecutive prefix sizes and between the smallest and
+largest. The corpus is counted once; each prefix is a slice of that count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 from .corpus import Corpus
@@ -41,6 +41,9 @@ def _rank_map(ranking: Ranking) -> dict[str, float]:
     pairs = [(str(pid), float(score)) for pid, score in ranking]
     if len({pid for pid, _ in pairs}) != len(pairs):
         raise AnalysisError("ranking contains duplicate ids")
+    for pid, score in pairs:
+        if not math.isfinite(score):
+            raise AnalysisError(f"ranking score of {pid!r} is not finite: {score}")
     pairs.sort(key=lambda item: (-item[1], item[0]))
     ranks: dict[str, float] = {}
     start = 0
@@ -100,8 +103,8 @@ def stability_sweep(
 ) -> StabilityReport:
     """Score the candidates against every reference-set prefix of size 1..k.
 
-    Each prefix rebuilds the venue set, counts, and reputation model from
-    scratch. Any failure is reported with the offending prefix size.
+    Each prefix keeps its own venue set: the venues its reference programs
+    publish in. Any failure is reported with the offending prefix size.
     """
     if k < 1:
         raise AnalysisError(f"k must be >= 1, got {k}")
@@ -114,18 +117,18 @@ def stability_sweep(
 
     scored: dict[int, list[tuple[str, float]]] = {}
     rankings: dict[int, tuple[str, ...]] = {}
-    for size in range(1, k + 1):
-        prefix = replace(
-            corpus, reference_programs=corpus.reference_programs[:size]
-        )
-        try:
-            counts = build_counts(prefix, venue_mode)
-            model = build_reputation_model(counts)
-            report = score_programs(model, counts, candidates)
-        except RScoreError as exc:
-            raise AnalysisError(f"reference-set size {size}: {exc}") from exc
-        scored[size] = [(row.program_id, row.raw_score) for row in report.rows]
-        rankings[size] = tuple(row.program_id for row in report.rows)
+    # A corpus with no reference venue fails on its smallest prefix.
+    size = 1
+    try:
+        counts = build_counts(corpus, venue_mode)
+        for size in range(1, k + 1):
+            prefix = counts.reference_prefix(size)
+            model = build_reputation_model(prefix)
+            report = score_programs(model, prefix, candidates)
+            scored[size] = [(row.program_id, row.raw_score) for row in report.rows]
+            rankings[size] = tuple(row.program_id for row in report.rows)
+    except RScoreError as exc:
+        raise AnalysisError(f"reference-set size {size}: {exc}") from exc
 
     def correlate(i: int, j: int) -> float:
         try:

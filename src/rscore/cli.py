@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 from .analysis import compare_rankings, stability_sweep
 from .corpus import Corpus, parse_corpus
 from .counts import CountsTable, VenueMode, build_counts
-from .errors import AnalysisError, RScoreError
+from .errors import AnalysisError, CorpusError, RScoreError
 from .reputation import ReputationModel, build_reputation_model
 from .scoring import ScoreReport, score_programs
 
@@ -75,12 +76,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str, error: type[RScoreError]) -> str:
+    """The file's text; bytes that are not UTF-8 raise ``error`` with their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: not valid UTF-8: {exc.reason}") from None
+
+
 def _load_corpus(args: argparse.Namespace) -> Corpus:
     window = None
     if args.year_from is not None:
         window = (args.year_from, args.year_to)
-    pubs_text = Path(args.pubs).read_text(encoding="utf-8")
-    rosters_text = Path(args.rosters).read_text(encoding="utf-8")
+    pubs_text = _read_text(args.pubs, CorpusError)
+    rosters_text = _read_text(args.rosters, CorpusError)
     return parse_corpus(pubs_text, rosters_text, window)
 
 
@@ -88,7 +99,7 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _fmt_exact(value: Fraction) -> str:
+def _fmt_exact(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -314,7 +325,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 
 def _read_grades(path: str) -> list[tuple[str, float]]:
     grades: list[tuple[str, float]] = []
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path, AnalysisError)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -332,6 +343,8 @@ def _read_grades(path: str) -> list[tuple[str, float]]:
             raise AnalysisError(
                 f"{path}:{lineno}: grade must be a number, got {parts[1]!r}"
             ) from exc
+        if not math.isfinite(grade):
+            raise AnalysisError(f"{path}:{lineno}: grade must be finite, got {parts[1]!r}")
         grades.append((pid, grade))
     if not grades:
         raise AnalysisError(f"{path}: no grades found")

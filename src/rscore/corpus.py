@@ -26,6 +26,7 @@ VenueId = str
 _PUBLICATION_KEYS = frozenset({"id", "venue", "year", "authors"})
 _ROSTER_REQUIRED_KEYS = frozenset({"id", "role", "faculty"})
 _ROSTER_ALLOWED_KEYS = _ROSTER_REQUIRED_KEYS | {"rank_hint"}
+EMPTY_VENUE_SET = "no publication by reference-program faculty; the venue set is empty"
 
 
 class Role(str, Enum):
@@ -140,9 +141,7 @@ def reference_venue_set(corpus: Corpus) -> list[VenueId]:
         pub.venue for pub in corpus.publications if not members.isdisjoint(pub.authors)
     }
     if not venues:
-        raise EmptyVenueSetError(
-            "no publication by reference-program faculty; the venue set is empty"
-        )
+        raise EmptyVenueSetError(EMPTY_VENUE_SET)
     return sorted(venues)
 
 
@@ -219,6 +218,8 @@ def _parse_publications(text: str) -> list[PublicationRecord]:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{where}: malformed record: {exc.msg}") from exc
+        except RecursionError:
+            raise CorpusError(f"{where}: malformed record: nested too deeply") from None
         if not isinstance(raw, dict):
             raise CorpusError(f"{where}: expected an object, got {type(raw).__name__}")
         unknown = set(raw) - _PUBLICATION_KEYS
@@ -255,6 +256,8 @@ def _parse_rosters(text: str) -> tuple[list[ProgramRoster], list[ProgramRoster]]
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"rosters document: malformed JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise CorpusError("rosters document: malformed JSON: nested too deeply") from None
     if not isinstance(document, dict) or set(document) != {"programs"}:
         raise CorpusError("rosters document must be an object with a 'programs' array")
     entries = document["programs"]

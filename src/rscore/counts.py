@@ -3,19 +3,25 @@
 A paper with ``a`` authors from one program's roster counts ``1/a`` toward
 each of those authors, so per-program per-venue totals are whole numbers of
 distinct papers. Co-authors from outside the roster never dilute the weight.
-All counts are exact rationals; floating point enters only when transition
-matrices are built.
+
+The model needs only those whole numbers, so they are kept in one integer
+matrix of programs x reference venues. Exact rationals appear only in the
+per-faculty table, which is built from the corpus when it is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from collections.abc import Mapping
+from functools import cached_property
 
-from .corpus import AuthorId, Corpus, VenueId, reference_venue_set
-from .errors import CountsError
+import numpy as np
+
+from .corpus import EMPTY_VENUE_SET, AuthorId, Corpus, VenueId, reference_venue_set
+from .errors import CountsError, EmptyVenueSetError
 
 
 class VenueMode(str, Enum):
@@ -32,53 +38,163 @@ class VenueMode(str, Enum):
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountsTable:
-    """All publication counts for one corpus, fully materialized.
+    """All publication counts for one corpus.
 
-    Zero-valued program/venue combinations are implied rather than stored;
-    the accessors return an exact zero for them.
+    ``matrix[r, j]`` is the number of distinct papers in venue
+    ``venue_index[j]`` with at least one author on the roster of program
+    ``programs[r]`` (reference programs first, then candidates).
+    ``first_reference[w, j]`` counts the papers in venue ``j`` whose first
+    reference program, in priority order, is ``w``; its column sums are the
+    distinct-paper venue totals, and so are those of any row prefix for the
+    matching reference-set prefix. Both are int64.
+
+    The accessors return exact numbers: ``int`` for program and venue
+    counts, :class:`~fractions.Fraction` for per-faculty weights.
     """
 
     venue_index: tuple[VenueId, ...]
     reference_programs: tuple[str, ...]
     candidate_programs: tuple[str, ...]
     roster_sizes: Mapping[str, int]
-    per_faculty_venue: Mapping[tuple[str, AuthorId, VenueId], Fraction]
-    per_program_venue: Mapping[tuple[str, VenueId], Fraction]
-    per_venue: Mapping[VenueId, Fraction]
-    per_program: Mapping[str, Fraction]
+    matrix: np.ndarray
+    first_reference: np.ndarray
+    # The source of the lazily built per-faculty table.
+    corpus: Corpus = field(repr=False)
     venue_mode: VenueMode = VenueMode.PER_PROGRAM
 
-    def _check_program(self, program_id: str) -> None:
-        if program_id not in self.roster_sizes:
-            raise CountsError(f"unknown program id {program_id!r}")
+    def __post_init__(self) -> None:
+        # The cached views below must not go stale under the frozen table.
+        self.matrix.setflags(write=False)
+        self.first_reference.setflags(write=False)
 
-    def _check_venue(self, venue: VenueId) -> None:
-        if venue not in self.per_venue:
-            raise CountsError(f"venue {venue!r} is not in the reference venue set")
+    @property
+    def programs(self) -> tuple[str, ...]:
+        return self.reference_programs + self.candidate_programs
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {pid: row for row, pid in enumerate(self.programs)}
+
+    @cached_property
+    def _columns(self) -> dict[VenueId, int]:
+        return {venue: j for j, venue in enumerate(self.venue_index)}
+
+    @cached_property
+    def venue_totals(self) -> np.ndarray:
+        """Per-venue totals over the reference programs, per ``venue_mode``."""
+        if self.venue_mode is VenueMode.PER_PROGRAM:
+            return self.matrix[: len(self.reference_programs)].sum(axis=0)
+        return self.first_reference.sum(axis=0)
+
+    def row(self, program_id: str) -> int:
+        """Matrix row of a program; raises :class:`CountsError` if unknown."""
+        try:
+            return self._rows[program_id]
+        except KeyError:
+            raise CountsError(f"unknown program id {program_id!r}") from None
+
+    def column(self, venue: VenueId) -> int:
+        """Matrix column of a venue; raises :class:`CountsError` if not in the set."""
+        try:
+            return self._columns[venue]
+        except KeyError:
+            raise CountsError(
+                f"venue {venue!r} is not in the reference venue set"
+            ) from None
 
     def faculty_venue(self, program_id: str, faculty: AuthorId, venue: VenueId) -> Fraction:
         """Co-author-weighted paper count for one faculty member in one venue."""
-        self._check_program(program_id)
-        self._check_venue(venue)
+        self.row(program_id)
+        self.column(venue)
         return self.per_faculty_venue.get((program_id, faculty, venue), _ZERO)
 
-    def program_venue(self, program_id: str, venue: VenueId) -> Fraction:
+    def program_venue(self, program_id: str, venue: VenueId) -> int:
         """Distinct papers by the program's roster in one venue."""
-        self._check_program(program_id)
-        self._check_venue(venue)
-        return self.per_program_venue.get((program_id, venue), _ZERO)
+        return int(self.matrix[self.row(program_id), self.column(venue)])
 
-    def venue_total(self, venue: VenueId) -> Fraction:
+    def venue_total(self, venue: VenueId) -> int:
         """Total papers in one venue, per the table's counting mode."""
-        self._check_venue(venue)
-        return self.per_venue[venue]
+        return int(self.venue_totals[self.column(venue)])
 
-    def program_total(self, program_id: str) -> Fraction:
+    def program_total(self, program_id: str) -> int:
         """Total papers by one program across the reference venue set."""
-        self._check_program(program_id)
-        return self.per_program[program_id]
+        return int(self.matrix[self.row(program_id)].sum())
+
+    @cached_property
+    def per_program_venue(self) -> Mapping[tuple[str, VenueId], int]:
+        """Nonzero ``program_venue`` counts keyed by (program, venue)."""
+        rows, columns = np.nonzero(self.matrix)
+        return {
+            (self.programs[r], self.venue_index[j]): int(self.matrix[r, j])
+            for r, j in zip(rows.tolist(), columns.tolist())
+        }
+
+    @cached_property
+    def per_venue(self) -> Mapping[VenueId, int]:
+        return dict(zip(self.venue_index, self.venue_totals.tolist()))
+
+    @cached_property
+    def per_program(self) -> Mapping[str, int]:
+        return dict(zip(self.programs, self.matrix.sum(axis=1).tolist()))
+
+    @cached_property
+    def per_faculty_venue(self) -> Mapping[tuple[str, AuthorId, VenueId], Fraction]:
+        """Nonzero ``faculty_venue`` weights keyed by (program, member, venue).
+
+        Built on first read by one more pass over the corpus: papers are
+        tallied per member and per number of same-roster co-authors, and
+        each tally becomes one exact fraction.
+        """
+        home = {
+            member: roster.program_id
+            for roster in self.corpus.programs
+            if roster.program_id in self._rows
+            for member in roster.faculty
+        }
+        tally: Counter[tuple[str, AuthorId, VenueId, int]] = Counter()
+        for pub in self.corpus.publications:
+            if pub.venue not in self._columns:
+                continue
+            groups: dict[str, list[AuthorId]] = {}
+            for author in pub.authors:
+                program = home.get(author)
+                if program is not None:
+                    groups.setdefault(program, []).append(author)
+            for program, members in groups.items():
+                for member in members:
+                    tally[program, member, pub.venue, len(members)] += 1
+        table: dict[tuple[str, AuthorId, VenueId], Fraction] = {}
+        for (program, member, venue, same_program), papers in tally.items():
+            key = (program, member, venue)
+            table[key] = table.get(key, _ZERO) + Fraction(papers, same_program)
+        return table
+
+    def reference_prefix(self, size: int) -> CountsTable:
+        """The table of the corpus cut to its first ``size`` reference programs.
+
+        Candidates stay; the venue set shrinks to the venues the prefix
+        publishes in, in the same order. Nothing is recounted.
+        """
+        n_ref = len(self.reference_programs)
+        columns = np.flatnonzero(self.matrix[:size].any(axis=0))
+        if columns.size == 0:
+            raise EmptyVenueSetError(EMPTY_VENUE_SET)
+        rows = np.r_[0:size, n_ref : len(self.matrix)]
+        reference = self.reference_programs[:size]
+        return CountsTable(
+            venue_index=tuple(self.venue_index[j] for j in columns),
+            reference_programs=reference,
+            candidate_programs=self.candidate_programs,
+            roster_sizes={
+                pid: self.roster_sizes[pid] for pid in reference + self.candidate_programs
+            },
+            matrix=self.matrix[np.ix_(rows, columns)],
+            first_reference=self.first_reference[:size, columns],
+            corpus=self.corpus,
+            venue_mode=self.venue_mode,
+        )
 
 
 def weighted_faculty_count(
@@ -124,73 +240,46 @@ def _require_reference_venue(corpus: Corpus, venue: VenueId) -> None:
 def build_counts(
     corpus: Corpus, venue_mode: VenueMode = VenueMode.PER_PROGRAM
 ) -> CountsTable:
-    """Compute every count for the corpus in a single pass.
+    """Count every program's distinct papers per reference venue in one pass.
 
-    Per-venue totals cover reference programs only; per-program totals sum
-    over the reference venue set, so candidate papers in other venues
-    contribute nothing anywhere.
+    Per-venue totals cover reference programs only; candidate papers in
+    venues outside the reference venue set contribute nothing anywhere.
     """
     venue_index = tuple(reference_venue_set(corpus))
-    venue_set = frozenset(venue_index)
-    rosters = corpus.programs
-    reference_ids = tuple(r.program_id for r in corpus.reference_programs)
-    candidate_ids = tuple(r.program_id for r in corpus.candidate_programs)
+    columns = {venue: j for j, venue in enumerate(venue_index)}
+    programs = corpus.programs
+    n_ref, v = len(corpus.reference_programs), len(venue_index)
+    row_of = {
+        member: row for row, roster in enumerate(programs) for member in roster.faculty
+    }
 
-    per_faculty: dict[tuple[str, AuthorId, VenueId], Fraction] = {}
-    per_program_venue: dict[tuple[str, VenueId], Fraction] = {}
-    distinct_by_venue: dict[VenueId, int] = {venue: 0 for venue in venue_index}
-    reference_members: set[str] = set()
-    for roster in corpus.reference_programs:
-        reference_members |= roster.faculty
-
+    # Flat (row * v + column) cell indices, one per (paper, home program).
+    cells: list[int] = []
+    firsts: list[int] = []
     for pub in corpus.publications:
-        if pub.venue not in venue_set:
+        j = columns.get(pub.venue)
+        if j is None:
             continue
-        author_set = frozenset(pub.authors)
-        for roster in rosters:
-            members = author_set & roster.faculty
-            if not members:
-                continue
-            share = Fraction(1, len(members))
-            for member in members:
-                key = (roster.program_id, member, pub.venue)
-                per_faculty[key] = per_faculty.get(key, _ZERO) + share
-            venue_key = (roster.program_id, pub.venue)
-            per_program_venue[venue_key] = per_program_venue.get(venue_key, _ZERO) + 1
-        if not author_set.isdisjoint(reference_members):
-            distinct_by_venue[pub.venue] += 1
+        rows = {row_of.get(author, -1) for author in pub.authors}
+        rows.discard(-1)
+        if not rows:
+            continue
+        cells.extend(row * v + j for row in rows)
+        first = min(rows)
+        if first < n_ref:
+            firsts.append(first * v + j)
 
-    per_program: dict[str, Fraction] = {}
-    for roster in rosters:
-        per_program[roster.program_id] = sum(
-            (
-                per_program_venue.get((roster.program_id, venue), _ZERO)
-                for venue in venue_index
-            ),
-            start=_ZERO,
-        )
-
-    per_venue: dict[VenueId, Fraction] = {}
-    for venue in venue_index:
-        if venue_mode is VenueMode.PER_PROGRAM:
-            per_venue[venue] = sum(
-                (
-                    per_program_venue.get((program, venue), _ZERO)
-                    for program in reference_ids
-                ),
-                start=_ZERO,
-            )
-        else:
-            per_venue[venue] = Fraction(distinct_by_venue[venue])
+    def tally(flat: list[int], n_rows: int) -> np.ndarray:
+        counts = np.bincount(np.array(flat, dtype=np.int64), minlength=n_rows * v)
+        return counts.reshape(n_rows, v)
 
     return CountsTable(
         venue_index=venue_index,
-        reference_programs=reference_ids,
-        candidate_programs=candidate_ids,
-        roster_sizes={r.program_id: len(r.faculty) for r in rosters},
-        per_faculty_venue=per_faculty,
-        per_program_venue=per_program_venue,
-        per_venue=per_venue,
-        per_program=per_program,
+        reference_programs=tuple(r.program_id for r in corpus.reference_programs),
+        candidate_programs=tuple(r.program_id for r in corpus.candidate_programs),
+        roster_sizes={r.program_id: len(r.faculty) for r in programs},
+        matrix=tally(cells, len(programs)),
+        first_reference=tally(firsts, n_ref),
+        corpus=corpus,
         venue_mode=venue_mode,
     )

@@ -16,8 +16,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .counts import CountsTable, VenueMode
 from .errors import ModelError, ReducibleChainError
@@ -72,6 +70,10 @@ class ReputationModel:
 def build_transitions(counts: CountsTable) -> TransitionStructure:
     """Build the alpha and beta blocks from a counts table.
 
+    beta is the reference rows of the count matrix over their row sums and
+    alpha its columns over the venue totals. Counts and totals are integers
+    below 2**53, so each entry is the correctly rounded quotient.
+
     Every reference program must have at least one paper in the venue set,
     otherwise its outgoing row would be undefined. In distinct-paper mode the
     per-venue totals undercount shared papers, so alpha columns are
@@ -84,21 +86,17 @@ def build_transitions(counts: CountsTable) -> TransitionStructure:
     if t == 0:
         raise ModelError("no reference programs")
 
-    for program in programs:
-        if counts.program_total(program) == 0:
-            raise ModelError(
-                f"reference program {program!r} has no publications in the "
-                f"venue set; its transition row is undefined"
-            )
+    reference = counts.matrix[:t]
+    totals = reference.sum(axis=1)
+    idle = np.flatnonzero(totals == 0)
+    if idle.size:
+        raise ModelError(
+            f"reference program {programs[idle[0]]!r} has no publications in the "
+            f"venue set; its transition row is undefined"
+        )
 
-    alpha = np.zeros((v, t))
-    beta = np.zeros((t, v))
-    for w, program in enumerate(programs):
-        total = counts.program_total(program)
-        for j, venue in enumerate(venues):
-            count = counts.program_venue(program, venue)
-            beta[w, j] = float(count / total)
-            alpha[j, w] = float(count / counts.venue_total(venue))
+    beta = reference / totals[:, None]
+    alpha = np.ascontiguousarray((reference / counts.venue_totals).T)
 
     if counts.venue_mode is VenueMode.DISTINCT_PAPER:
         # alpha is venue-by-program; each venue must redistribute fully.
@@ -130,6 +128,26 @@ def aggregate(structure: TransitionStructure) -> np.ndarray:
     return p_prime
 
 
+def _strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of a directed graph given as a boolean
+    n x n adjacency matrix, each sorted, ordered by their smallest state.
+
+    Reachability is closed by squaring the 0/1 reach matrix until it stops
+    changing (about log2 n products); two states share a component when each
+    reaches the other.
+    """
+    n = adjacency.shape[0]
+    reach = (adjacency | np.eye(n, dtype=bool)).astype(np.float64)
+    while True:
+        closed = (reach @ reach > 0).astype(np.float64)
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    mutual = reach * reach.T > 0
+    smallest = mutual.argmax(axis=1)
+    return [np.flatnonzero(smallest == root).tolist() for root in np.unique(smallest)]
+
+
 def stationary_gth(p: np.ndarray) -> np.ndarray:
     """Stationary distribution of an irreducible row-stochastic matrix.
 
@@ -137,7 +155,8 @@ def stationary_gth(p: np.ndarray) -> np.ndarray:
     by one, with each pivot taken as the sum of the remaining off-diagonal
     row entries, so the elimination never subtracts like-signed quantities
     and needs no pivoting to stay stable. Reducible inputs are rejected with
-    the list of strongly connected components rather than silently patched.
+    the list of strongly connected components, ordered by smallest state,
+    rather than silently patched.
     """
     a = np.array(p, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -148,13 +167,8 @@ def stationary_gth(p: np.ndarray) -> np.ndarray:
     if np.any(a < 0) or np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-8:
         raise ModelError("matrix is not row-stochastic")
 
-    n_components, labels = connected_components(
-        csr_matrix(a > 0), directed=True, connection="strong"
-    )
-    if n_components > 1:
-        components = [
-            np.flatnonzero(labels == label).tolist() for label in range(n_components)
-        ]
+    components = _strongly_connected_components(a > 0)
+    if len(components) > 1:
         raise ReducibleChainError(components)
 
     for k in range(n - 1):

@@ -8,7 +8,10 @@ in [0, 1]; dividing by roster size first gives the per-faculty variant.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .counts import CountsTable
 from .errors import ScoringError
@@ -39,25 +42,34 @@ class ScoreReport:
     zero_scores: bool = False
 
 
+def _raw_scores(
+    model: ReputationModel, counts: CountsTable, program_ids: list[str]
+) -> list[float]:
+    rows = np.array([counts.row(pid) for pid in program_ids], dtype=np.intp)
+    columns = [counts.column(venue) for venue in model.structure.venue_index]
+    # One column at a time, left to right, as a per-program loop over venues
+    # would add them: a matrix product may reorder the sum and change the
+    # last bits, and this allocates no programs x venues temporary.
+    totals = np.zeros(len(rows))
+    for j, weight in zip(columns, model.nu):
+        totals += counts.matrix[rows, j] * weight
+    return totals.tolist()
+
+
 def raw_score(model: ReputationModel, counts: CountsTable, program_id: str) -> float:
     """Venue-reputation-weighted publication total for one program.
 
     Venues outside the reference venue set contribute nothing, because the
     counts table only covers that set.
     """
-    venues = model.structure.venue_index
-    nu = model.nu
-    total = 0.0
-    for j, venue in enumerate(venues):
-        count = counts.program_venue(program_id, venue)
-        if count:
-            total += float(nu[j]) * float(count)
-    return total
+    return _raw_scores(model, counts, [program_id])[0]
 
 
 def _competition_ranks(values: list[float]) -> list[int]:
-    # 1-based; ties share the smaller rank and the next rank skips.
-    return [1 + sum(1 for other in values if other > value) for value in values]
+    # 1-based; ties share the smaller rank and the next rank skips: one plus
+    # the number of strictly larger values.
+    ascending = sorted(values)
+    return [1 + len(values) - bisect_right(ascending, value) for value in values]
 
 
 def score_programs(
@@ -73,7 +85,7 @@ def score_programs(
     if len(set(program_ids)) != len(program_ids):
         raise ScoringError("duplicate program id in scoring request")
 
-    raws = {pid: raw_score(model, counts, pid) for pid in program_ids}
+    raws = dict(zip(program_ids, _raw_scores(model, counts, program_ids)))
     sizes = {pid: counts.roster_sizes[pid] for pid in program_ids}
     per_faculty = {pid: raws[pid] / sizes[pid] for pid in program_ids}
 

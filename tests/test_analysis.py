@@ -1,21 +1,32 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rscore import (
     AnalysisError,
     DegenerateRankingError,
+    EmptyVenueSetError,
+    ModelError,
+    RScoreError,
     ScoreReport,
     ScoreRow,
+    TransitionStructure,
     VenueMode,
+    aggregate,
     build_counts,
     build_reputation_model,
     compare_rankings,
     score_programs,
     spearman,
     stability_sweep,
+    stationary_gth,
+    venue_reputation,
 )
 
 from helpers import make_corpus, oracle_counts, power_iteration, random_corpus
@@ -287,3 +298,111 @@ def test_compare_end_to_end(walkthrough_corpus):
     report = score_programs(model, counts, ["east", "west"])
     comparison = compare_rankings(report, [("east", 7.0), ("west", 6.0)])
     assert comparison.rho == pytest.approx(1.0, abs=1e-12)
+
+
+def _rebuilt_prefix(corpus, size, mode):
+    """Oracle counts, transition blocks and raw candidate scores of the
+    prefix corpus, rebuilt from scratch.
+
+    Counts come from the brute-force oracle and the blocks from its exact
+    fractions; the solver steps are the package's own. Raises RScoreError
+    where the prefix has no usable model.
+    """
+    prefix = make_corpus(
+        pubs=[(p.id, p.venue, p.year, list(p.authors)) for p in corpus.publications],
+        refs=[(r.program_id, sorted(r.faculty)) for r in corpus.reference_programs[:size]],
+        cands=[(r.program_id, sorted(r.faculty)) for r in corpus.candidate_programs],
+    )
+    distinct = mode is VenueMode.DISTINCT_PAPER
+    oracle = oracle_counts(prefix, distinct)
+    venue_set, _, per_program_venue, per_venue, per_program = oracle
+    if not venue_set:
+        raise EmptyVenueSetError("empty")
+    references = [r.program_id for r in prefix.reference_programs]
+    beta = np.zeros((size, len(venue_set)))
+    alpha = np.zeros((len(venue_set), size))
+    for w, pid in enumerate(references):
+        if per_program[pid] == 0:
+            raise ModelError(pid)
+        for j, venue in enumerate(venue_set):
+            count = per_program_venue.get((pid, venue), Fraction(0))
+            beta[w, j] = float(count / per_program[pid])
+            alpha[j, w] = float(count / per_venue[venue])
+    if distinct:
+        alpha = alpha / alpha.sum(axis=1, keepdims=True)
+    structure = TransitionStructure(alpha, beta, tuple(references), tuple(venue_set))
+    p_prime = aggregate(structure)
+    gamma = stationary_gth(p_prime)
+    if np.max(np.abs(gamma @ p_prime - gamma)) > 1e-10:
+        raise ModelError("residual")
+    nu = venue_reputation(structure, gamma)
+    scores = {}
+    for roster in prefix.candidate_programs:
+        total = 0.0
+        for j, venue in enumerate(venue_set):
+            count = per_program_venue.get((roster.program_id, venue), 0)
+            if count:
+                total += float(nu[j]) * float(count)
+        scores[roster.program_id] = total
+    return oracle, structure, scores
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ref=st.integers(1, 5),
+    n_cand=st.integers(2, 4),
+    n_venues=st.integers(1, 7),
+    n_papers=st.integers(0, 80),
+    hub=st.booleans(),
+    mode=st.sampled_from(VenueMode),
+)
+def test_sweep_equals_prefix_rebuilds_from_oracle_counts(
+    seed, n_ref, n_cand, n_venues, n_papers, hub, mode
+):
+    corpus = random_corpus(
+        np.random.default_rng(seed), n_ref=n_ref, n_cand=n_cand, n_venues=n_venues,
+        n_papers=n_papers, hub=hub,
+    )
+    counts = build_counts(corpus, mode)
+    candidates = [r.program_id for r in corpus.candidate_programs]
+    scored = {}
+    for size in range(1, n_ref + 1):
+        try:
+            oracle, structure, scores = _rebuilt_prefix(corpus, size, mode)
+        except RScoreError:
+            with pytest.raises(AnalysisError, match=f"^reference-set size {size}: "):
+                stability_sweep(corpus, n_ref, mode)
+            return
+        # the sweep's prefix step: a slice of the one count, then the model
+        prefix = counts.reference_prefix(size)
+        venue_set, _, per_program_venue, per_venue, per_program = oracle
+        assert list(prefix.venue_index) == venue_set
+        assert dict(prefix.per_program_venue) == per_program_venue
+        assert dict(prefix.per_venue) == per_venue
+        assert dict(prefix.per_program) == per_program
+        model = build_reputation_model(prefix)
+        assert model.structure.alpha.tobytes() == structure.alpha.tobytes()
+        assert model.structure.beta.tobytes() == structure.beta.tobytes()
+        report = score_programs(model, prefix, candidates)
+        assert {row.program_id: row.raw_score for row in report.rows} == scores
+        scored[size] = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+
+    try:
+        report = stability_sweep(corpus, n_ref, mode)
+    except AnalysisError as exc:
+        # only an all-tied prefix ranking may fail after every model solved
+        assert "comparison of sizes" in str(exc)
+        return
+    for size in report.sizes:
+        assert report.rankings[size] == tuple(pid for pid, _ in scored[size])
+    for i, j, rho in report.adjacent:
+        assert rho == spearman(scored[i], scored[j])
+    if n_ref > 1:
+        assert report.first_vs_last[2] == spearman(scored[1], scored[n_ref])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_spearman_rejects_non_finite_scores(bad):
+    with pytest.raises(AnalysisError, match="not finite"):
+        spearman([("a", 1.0), ("b", bad), ("c", 0.0)], [("a", 1.0), ("b", 2.0), ("c", 0.0)])

@@ -247,3 +247,87 @@ def test_module_entry_point(fixture_dir):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[1] == "beta\t1.000000"
+
+
+def _run_cli(argv, timeout=20):
+    """The CLI in a fresh interpreter, so that a hang fails instead of stalling."""
+    return subprocess.run(
+        [sys.executable, "-m", "rscore", *argv],
+        capture_output=True, text=True, check=False, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_compare_rejects_non_finite_grade(walkthrough_args, tmp_path, bad):
+    grades = tmp_path / "grades.tsv"
+    grades.write_text(f"east\t7\nwest\t{bad}\n", encoding="utf-8")
+    result = _run_cli(["compare", "--grades", str(grades), *walkthrough_args])
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: {grades}:2: grade must be finite, got {bad!r}"
+    ]
+
+
+@pytest.mark.parametrize("which", ["pubs", "rosters", "grades"])
+def test_non_utf8_input_is_data_error(fixture_dir, tmp_path, capsys, which):
+    paths = {
+        "pubs": fixture_dir / "publications.jsonl",
+        "rosters": fixture_dir / "rosters.json",
+        "grades": fixture_dir / "grades.tsv",
+    }
+    broken = tmp_path / paths[which].name
+    data = paths[which].read_bytes().split(b"\n")
+    data[1] = data[1] + b"\xff"
+    broken.write_bytes(b"\n".join(data))
+    paths[which] = broken
+    code = run([
+        "compare", "--pubs", str(paths["pubs"]), "--rosters", str(paths["rosters"]),
+        "--grades", str(paths["grades"]),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {broken}:2: not valid UTF-8: invalid start byte"
+    ]
+
+
+def test_deeply_nested_json_is_data_error(fixture_dir, tmp_path, capsys):
+    lines = (fixture_dir / "publications.jsonl").read_text(encoding="utf-8").splitlines()
+    lines.insert(2, "[" * 100_000 + "]" * 100_000)
+    pubs = tmp_path / "pubs.jsonl"
+    pubs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rosters = tmp_path / "rosters.json"
+    rosters.write_text('{"programs": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    good_rosters = str(fixture_dir / "rosters.json")
+    good_pubs = str(fixture_dir / "publications.jsonl")
+    for argv, message in (
+        (["--pubs", str(pubs), "--rosters", good_rosters],
+         "error: publications line 3: malformed record: nested too deeply"),
+        (["--pubs", good_pubs, "--rosters", str(rosters)],
+         "error: rosters document: malformed JSON: nested too deeply"),
+    ):
+        assert run(["validate", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
+
+def test_per_faculty_table_built_only_by_counts(walkthrough_args, fixture_dir, monkeypatch, capsys):
+    from rscore import CountsTable
+
+    built = []
+    original = CountsTable.__dict__["per_faculty_venue"].func
+    monkeypatch.setattr(
+        CountsTable, "per_faculty_venue",
+        property(lambda table: built.append(1) or original(table)),
+    )
+    grades = ["--grades", str(fixture_dir / "grades.tsv")]
+    for argv in (["validate"], ["venues"], ["venues", "--dump-matrices"], ["rank"],
+                 ["stability"], ["compare", *grades]):
+        assert run([*argv, *walkthrough_args]) == 0
+    assert built == []
+    assert run(["counts", *walkthrough_args]) == 0
+    assert built
+    capsys.readouterr()

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rscore import (
     Corpus,
@@ -224,3 +226,55 @@ def test_per_program_venue_equals_sum_of_faculty_weights(walkthrough_counts):
             if p == program and v == venue
         )
         assert summed == total
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ref=st.integers(1, 5),
+    n_cand=st.integers(0, 3),
+    n_venues=st.integers(1, 8),
+    n_papers=st.integers(0, 120),
+    hub=st.booleans(),
+    mode=st.sampled_from(VenueMode),
+)
+def test_build_counts_matches_oracle_on_random_corpora(
+    seed, n_ref, n_cand, n_venues, n_papers, hub, mode
+):
+    corpus = random_corpus(
+        np.random.default_rng(seed), n_ref=n_ref, n_cand=n_cand, n_venues=n_venues,
+        n_papers=n_papers, hub=hub,
+    )
+    counts = build_counts(corpus, mode)
+    venue_set, per_faculty, per_program_venue, per_venue, per_program = oracle_counts(
+        corpus, distinct=mode is VenueMode.DISTINCT_PAPER
+    )
+    assert list(counts.venue_index) == venue_set
+    assert dict(counts.per_program_venue) == per_program_venue
+    assert dict(counts.per_venue) == per_venue
+    assert dict(counts.per_program) == per_program
+    assert "per_faculty_venue" not in vars(counts)  # built only when read
+    assert dict(counts.per_faculty_venue) == per_faculty
+    for (program, member, venue), weight in per_faculty.items():
+        assert counts.faculty_venue(program, member, venue) == weight
+
+
+def test_counts_are_one_integer_matrix(walkthrough_counts):
+    # rows: reference programs, then candidates; columns: the venue index
+    assert walkthrough_counts.matrix.dtype == np.int64
+    assert walkthrough_counts.matrix.tolist() == [
+        [3, 2, 1],  # north
+        [2, 4, 2],  # south
+        [2, 1, 3],  # east
+        [0, 2, 0],  # west
+    ]
+    assert walkthrough_counts.venue_totals.tolist() == [5, 6, 3]
+
+
+def test_count_arrays_are_read_only(walkthrough_corpus):
+    counts = build_counts(walkthrough_corpus)
+    for table in (counts, counts.reference_prefix(1)):
+        with pytest.raises(ValueError):
+            table.matrix[0, 0] = 7
+        with pytest.raises(ValueError):
+            table.first_reference[0, 0] = 7

@@ -15,6 +15,7 @@ from rscore import (
     build_transitions,
     stationary_gth,
 )
+from rscore.reputation import _strongly_connected_components
 
 from helpers import make_corpus, naive_matmul, power_iteration, random_corpus, random_stochastic
 
@@ -257,17 +258,44 @@ def test_distinct_mode_renormalization_reproduces_share_matrix():
 
 
 def test_transitions_require_reference_programs():
-    from rscore import CountsTable
+    from rscore import Corpus, CountsTable
 
     empty = CountsTable(
         venue_index=(),
         reference_programs=(),
         candidate_programs=(),
         roster_sizes={},
-        per_faculty_venue={},
-        per_program_venue={},
-        per_venue={},
-        per_program={},
+        matrix=np.zeros((0, 0), dtype=np.int64),
+        first_reference=np.zeros((0, 0), dtype=np.int64),
+        corpus=Corpus((), (), ()),
     )
     with pytest.raises(ModelError, match="no reference programs"):
         build_transitions(empty)
+
+
+def test_gth_reducible_components_are_ordered_by_smallest_state():
+    # 1 -> 3 -> 1 and 0 <-> 2, plus a one-way edge 2 -> 1
+    p = np.array(
+        [
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.5, 0.5, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+        ]
+    )
+    with pytest.raises(ReducibleChainError) as excinfo:
+        stationary_gth(p)
+    assert excinfo.value.components == ((0, 2), (1, 3))
+
+
+def test_strong_components_match_scipy_on_random_digraphs():
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    rng = np.random.default_rng(20261)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        adjacency = rng.random((n, n)) < rng.uniform(0.0, 0.4)
+        count, labels = csgraph.connected_components(
+            adjacency, directed=True, connection="strong"
+        )
+        expected = sorted(np.flatnonzero(labels == label).tolist() for label in range(count))
+        assert _strongly_connected_components(adjacency) == expected

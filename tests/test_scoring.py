@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rscore import (
     Corpus,
@@ -16,6 +18,7 @@ from rscore import (
     raw_score,
     score_programs,
 )
+from rscore.scoring import _competition_ranks
 
 from helpers import make_corpus, random_corpus
 
@@ -232,3 +235,10 @@ def test_r_score_order_matches_raw_order():
     assert raws == sorted(raws, reverse=True)
     assert rs == sorted(rs, reverse=True)
     assert max(rs) == 1.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 1e-300, 7.0]), max_size=30))
+def test_competition_ranks_match_definition(values):
+    expected = [1 + sum(1 for other in values if other > value) for value in values]
+    assert _competition_ranks(values) == expected
