@@ -12,9 +12,11 @@ preparer's job, not this module's.
 from __future__ import annotations
 
 import json
+import json.scanner
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import CorpusError, EmptyVenueSetError
 
@@ -73,6 +75,17 @@ class Corpus:
     @property
     def programs(self) -> tuple[ProgramRoster, ...]:
         return self.reference_programs + self.candidate_programs
+
+    @cached_property
+    def _reference_venues(self) -> tuple[VenueId, ...]:
+        """What :func:`reference_venue_set` returns, computed once; may be empty."""
+        members: set[str] = set()
+        for roster in self.reference_programs:
+            members |= roster.faculty
+        venues = {
+            pub.venue for pub in self.publications if not members.isdisjoint(pub.authors)
+        }
+        return tuple(sorted(venues))
 
     def roster(self, program_id: str) -> ProgramRoster:
         for roster in self.programs:
@@ -134,15 +147,10 @@ def reference_venue_set(corpus: Corpus) -> list[VenueId]:
     reference faculty member published anything, which makes the corpus
     unusable for reputation propagation.
     """
-    members: set[str] = set()
-    for roster in corpus.reference_programs:
-        members |= roster.faculty
-    venues = {
-        pub.venue for pub in corpus.publications if not members.isdisjoint(pub.authors)
-    }
+    venues = corpus._reference_venues
     if not venues:
         raise EmptyVenueSetError(EMPTY_VENUE_SET)
-    return sorted(venues)
+    return list(venues)
 
 
 def parse_corpus(
@@ -152,10 +160,12 @@ def parse_corpus(
 ) -> Corpus:
     """Parse and validate the two input documents into a :class:`Corpus`.
 
-    ``publications`` is line-oriented: one JSON object per line with exactly
-    the keys ``id``, ``venue``, ``year``, ``authors``. ``rosters`` is a single
-    JSON document with a ``programs`` array. Records outside ``year_window``
-    (inclusive on both ends) are dropped and counted, with a logged warning.
+    ``publications`` is JSON Lines: one JSON object per line, a line ending
+    at LF (CRLF accepted), with exactly the keys ``id``, ``venue``, ``year``,
+    ``authors``, each once. ``rosters`` is a single JSON document with a
+    ``programs`` array; no object in it may repeat a key. Records outside
+    ``year_window`` (inclusive on both ends) are dropped and counted, with a
+    logged warning.
 
     Raises :class:`CorpusError` on any malformed or inconsistent input; line
     numbers are included for per-record problems.
@@ -207,57 +217,127 @@ def _clean_id(value: object, what: str, where: str) -> str:
     return cleaned
 
 
+class _DuplicateKeyError(Exception):
+    """A JSON object names one key twice; ``args[0]`` is the key."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """``object_pairs_hook`` that refuses an object naming one key twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _DuplicateKeyError(key)
+            seen.add(key)
+    return obj
+
+
+def _decode(text: str, where: str, what: str) -> object:
+    """``json.loads`` without duplicate keys; every failure is a CorpusError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except _DuplicateKeyError as exc:
+        raise CorpusError(f"{where}: duplicate key {exc.args[0]!r}") from None
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{where}: {what}: {exc.msg}") from exc
+    except RecursionError:
+        raise CorpusError(f"{where}: {what}: nested too deeply") from None
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise CorpusError(f"{where}: {what}: {exc}") from None
+
+
+# One C call decodes the JSON value that starts at an index and returns it
+# with the index where it ends. Objects come back as tuples of (key, value)
+# pairs, so a repeated key is still visible and an array (a list) is not
+# mistaken for an object.
+_scan_value = json.scanner.make_scanner(json.JSONDecoder(object_pairs_hook=tuple))
+
+
 def _parse_publications(text: str) -> list[PublicationRecord]:
+    """Parse JSON Lines: one record per line, a line ending at LF or CRLF.
+
+    A line that is exactly one well-formed record, with nothing around it,
+    is decoded and checked with C-level operations only. Any other line
+    (blank, padded, malformed or rejected) goes to :func:`_parse_line`, the
+    reference checks, which accept it or raise the line's error.
+    """
     records: list[PublicationRecord] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"publications line {lineno}"
+    strip = str.strip
+    lines = text.replace("\r\n", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{where}: malformed record: {exc.msg}") from exc
-        except RecursionError:
-            raise CorpusError(f"{where}: malformed record: nested too deeply") from None
-        if not isinstance(raw, dict):
-            raise CorpusError(f"{where}: expected an object, got {type(raw).__name__}")
-        unknown = set(raw) - _PUBLICATION_KEYS
-        if unknown:
-            raise CorpusError(f"{where}: unknown keys {sorted(unknown)}")
-        missing = _PUBLICATION_KEYS - set(raw)
-        if missing:
-            raise CorpusError(f"{where}: missing keys {sorted(missing)}")
-
-        pub_id = _clean_id(raw["id"], "publication id", where)
-        if pub_id in seen:
-            raise CorpusError(f"{where}: duplicate publication id {pub_id!r}")
-        seen.add(pub_id)
-        venue = _clean_id(raw["venue"], "venue id", where)
-        year = raw["year"]
-        if isinstance(year, bool) or not isinstance(year, int):
-            raise CorpusError(f"{where}: year must be an integer, got {year!r}")
-        raw_authors = raw["authors"]
-        if not isinstance(raw_authors, list):
-            raise CorpusError(f"{where}: authors must be an array")
-        if not raw_authors:
-            raise CorpusError(f"empty author list in record {pub_id!r} ({where})")
-        authors = tuple(_clean_id(a, "author id", where) for a in raw_authors)
-        if len(set(authors)) != len(authors):
-            raise CorpusError(f"duplicate author within record {pub_id!r} ({where})")
-        records.append(
-            PublicationRecord(id=pub_id, venue=venue, year=year, authors=authors)
-        )
+            pairs, end = _scan_value(line, 0)
+            raw = dict(pairs)
+            pub_id = strip(raw["id"])
+            venue = strip(raw["venue"])
+            year = raw["year"]
+            raw_authors = raw["authors"]
+            if (
+                type(pairs) is tuple
+                and len(pairs) == 4
+                and raw.keys() == _PUBLICATION_KEYS
+                and end == len(line)
+                and pub_id
+                and venue
+                and type(year) is int
+                and type(raw_authors) is list
+                and pub_id not in seen
+            ):
+                authors = tuple(map(strip, raw_authors))
+                if authors and all(authors) and len(set(authors)) == len(authors):
+                    seen.add(pub_id)
+                    records.append(PublicationRecord(pub_id, venue, year, authors))
+                    continue
+        except (ValueError, TypeError, KeyError, StopIteration, RecursionError):
+            pass
+        record = _parse_line(line, lineno, seen)
+        if record is not None:
+            records.append(record)
     return records
 
 
+def _parse_line(line: str, lineno: int, seen: set[str]) -> PublicationRecord | None:
+    """Check one line rule by rule: its record, ``None`` if blank, or its error.
+
+    ``seen`` holds the publication ids of the lines before; the line's id is
+    added to it.
+    """
+    if not line.strip():
+        return None
+    where = f"publications line {lineno}"
+    raw = _decode(line, where, "malformed record")
+    if not isinstance(raw, dict):
+        raise CorpusError(f"{where}: expected an object, got {type(raw).__name__}")
+    unknown = set(raw) - _PUBLICATION_KEYS
+    if unknown:
+        raise CorpusError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = _PUBLICATION_KEYS - set(raw)
+    if missing:
+        raise CorpusError(f"{where}: missing keys {sorted(missing)}")
+
+    pub_id = _clean_id(raw["id"], "publication id", where)
+    if pub_id in seen:
+        raise CorpusError(f"{where}: duplicate publication id {pub_id!r}")
+    seen.add(pub_id)
+    venue = _clean_id(raw["venue"], "venue id", where)
+    year = raw["year"]
+    if isinstance(year, bool) or not isinstance(year, int):
+        raise CorpusError(f"{where}: year must be an integer, got {year!r}")
+    raw_authors = raw["authors"]
+    if not isinstance(raw_authors, list):
+        raise CorpusError(f"{where}: authors must be an array")
+    if not raw_authors:
+        raise CorpusError(f"empty author list in record {pub_id!r} ({where})")
+    authors = tuple(_clean_id(a, "author id", where) for a in raw_authors)
+    if len(set(authors)) != len(authors):
+        raise CorpusError(f"duplicate author within record {pub_id!r} ({where})")
+    return PublicationRecord(id=pub_id, venue=venue, year=year, authors=authors)
+
+
 def _parse_rosters(text: str) -> tuple[list[ProgramRoster], list[ProgramRoster]]:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"rosters document: malformed JSON: {exc.msg}") from exc
-    except RecursionError:
-        raise CorpusError("rosters document: malformed JSON: nested too deeply") from None
+    document = _decode(text, "rosters document", "malformed JSON")
     if not isinstance(document, dict) or set(document) != {"programs"}:
         raise CorpusError("rosters document must be an object with a 'programs' array")
     entries = document["programs"]

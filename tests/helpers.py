@@ -7,6 +7,7 @@ its own verification.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -144,6 +145,79 @@ def oracle_counts(corpus: Corpus, distinct: bool = False):
             )
 
     return venue_set, per_faculty, per_program_venue, per_venue, per_program
+
+
+class OracleReject(Exception):
+    """The oracle's verdict on bad input: the expected error text."""
+
+
+def _refuse_repeated_keys(pairs):
+    keys = [key for key, _ in pairs]
+    for position, key in enumerate(keys):
+        if key in keys[:position]:
+            raise OracleReject(f"duplicate key {key!r}")
+    return dict(pairs)
+
+
+def oracle_publications(text: str) -> list[tuple[str, str, int, tuple[str, ...]]]:
+    """Records of a publications file as (id, venue, year, authors), by README's rules.
+
+    A record ends at LF; one CR before it is dropped; blank lines are skipped.
+    Raises :class:`OracleReject` with the error text of the first bad line.
+    """
+    records = []
+    ids = []
+    lines = text.split("\n")
+    for number in range(len(lines)):
+        line = lines[number]
+        if line.endswith("\r"):
+            line = line[:-1]
+        if line.strip() == "":
+            continue
+        where = f"publications line {number + 1}"
+        try:
+            value = json.loads(line, object_pairs_hook=_refuse_repeated_keys)
+        except OracleReject as exc:
+            raise OracleReject(f"{where}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise OracleReject(f"{where}: malformed record: {exc.msg}") from None
+        except RecursionError:
+            raise OracleReject(f"{where}: malformed record: nested too deeply") from None
+        if type(value) is not dict:
+            raise OracleReject(f"{where}: expected an object, got {type(value).__name__}")
+        keys = ["authors", "id", "venue", "year"]
+        unknown = sorted(key for key in value if key not in keys)
+        if unknown:
+            raise OracleReject(f"{where}: unknown keys {unknown}")
+        missing = [key for key in keys if key not in value]
+        if missing:
+            raise OracleReject(f"{where}: missing keys {missing}")
+
+        def identifier(raw, what):
+            if type(raw) is not str:
+                raise OracleReject(f"{where}: {what} must be a string, got {raw!r}")
+            if raw.strip() == "":
+                raise OracleReject(f"{where}: empty {what}")
+            return raw.strip()
+
+        pub_id = identifier(value["id"], "publication id")
+        if pub_id in ids:
+            raise OracleReject(f"{where}: duplicate publication id {pub_id!r}")
+        ids.append(pub_id)
+        venue = identifier(value["venue"], "venue id")
+        year = value["year"]
+        if type(year) is not int:
+            raise OracleReject(f"{where}: year must be an integer, got {year!r}")
+        if type(value["authors"]) is not list:
+            raise OracleReject(f"{where}: authors must be an array")
+        if value["authors"] == []:
+            raise OracleReject(f"empty author list in record {pub_id!r} ({where})")
+        authors = [identifier(raw, "author id") for raw in value["authors"]]
+        for position, author in enumerate(authors):
+            if author in authors[:position]:
+                raise OracleReject(f"duplicate author within record {pub_id!r} ({where})")
+        records.append((pub_id, venue, year, tuple(authors)))
+    return records
 
 
 def power_iteration(p: np.ndarray, tol: float = 1e-14, max_iter: int = 500_000):

@@ -331,3 +331,125 @@ def test_per_faculty_table_built_only_by_counts(walkthrough_args, fixture_dir, m
     assert run(["counts", *walkthrough_args]) == 0
     assert built
     capsys.readouterr()
+
+
+def test_one_command_makes_one_reference_venue_pass(walkthrough_args, monkeypatch, capsys):
+    from rscore import Corpus
+
+    passes = []
+    prop = Corpus.__dict__["_reference_venues"]
+    original = prop.func
+    monkeypatch.setattr(prop, "func", lambda corpus: passes.append(1) or original(corpus))
+    for argv in (["validate"], ["counts"], ["venues"], ["rank"], ["stability"]):
+        passes.clear()
+        assert run([*argv, *walkthrough_args]) == 0
+        assert passes == [1], argv
+    capsys.readouterr()
+
+
+def _record(**changes):
+    record = {"id": "p1", "venue": "v1", "year": 2010, "authors": ["a1"]}
+    record.update(changes)
+    return json.dumps(record)
+
+
+def _program(**changes):
+    program = {"id": "r2", "role": "reference", "faculty": ["b1"]}
+    program.update(changes)
+    return program
+
+
+def _rosters_with(*extra):
+    first = {"id": "r1", "role": "reference", "faculty": ["a1"]}
+    return json.dumps({"programs": [first, *extra]})
+
+
+# One bad second line per publication rule, and the error line it gives.
+# Every message but the duplicate-key and digit-limit ones was recorded
+# before the fast parser existed.
+PUBLICATION_REJECTIONS = [
+    ("not json", "publications line 2: malformed record: Expecting value"),
+    (_record() + " x", "publications line 2: malformed record: Extra data"),
+    ("\ufeff" + _record(),
+     "publications line 2: malformed record: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ('{"id": "p1', "publications line 2: malformed record: Unterminated string starting at"),
+    ("[" * 100_000, "publications line 2: malformed record: nested too deeply"),
+    ("[1, 2]", "publications line 2: expected an object, got list"),
+    ('"p1"', "publications line 2: expected an object, got str"),
+    (_record(citations=3), "publications line 2: unknown keys ['citations']"),
+    ('{"id": "p1", "venue": "v1", "year": 2010}', "publications line 2: missing keys ['authors']"),
+    (_record(id=5), "publications line 2: publication id must be a string, got 5"),
+    (_record(id="  "), "publications line 2: empty publication id"),
+    (_record(id=" p0"), "publications line 2: duplicate publication id 'p0'"),
+    (_record(venue=None), "publications line 2: venue id must be a string, got None"),
+    (_record(venue=""), "publications line 2: empty venue id"),
+    (_record(year=True), "publications line 2: year must be an integer, got True"),
+    (_record(year=2010.0), "publications line 2: year must be an integer, got 2010.0"),
+    (_record(year="2010"), "publications line 2: year must be an integer, got '2010'"),
+    ('{"id": "p1", "venue": "v1", "year": NaN, "authors": ["a1"]}',
+     "publications line 2: year must be an integer, got nan"),
+    (_record(authors="a1"), "publications line 2: authors must be an array"),
+    (_record(authors=[]), "empty author list in record 'p1' (publications line 2)"),
+    (_record(authors=["a1", 7]), "publications line 2: author id must be a string, got 7"),
+    (_record(authors=["a1", " "]), "publications line 2: empty author id"),
+    (_record(authors=["a1", " a1"]), "duplicate author within record 'p1' (publications line 2)"),
+    ('{"id": "p1", "id": "p2", "venue": "v1", "year": 2010, "authors": ["a1"]}',
+     "publications line 2: duplicate key 'id'"),
+    ('{"id": "p1", "venue": "v1", "year": ' + "9" * 5000 + ', "authors": ["a1"]}',
+     "publications line 2: malformed record: Exceeds the limit (4300 digits) for integer "
+     "string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to "
+     "increase the limit"),
+]
+
+# One bad rosters document per rule, with publications that are fine.
+ROSTER_REJECTIONS = [
+    ("{", "rosters document: malformed JSON: Expecting property name enclosed in double quotes"),
+    ("[" * 100_000, "rosters document: malformed JSON: nested too deeply"),
+    ("[]", "rosters document must be an object with a 'programs' array"),
+    (json.dumps({"programs": [], "x": 1}),
+     "rosters document must be an object with a 'programs' array"),
+    (json.dumps({"programs": {}}), "rosters 'programs' must be an array"),
+    (_rosters_with(3), "rosters program #2: expected an object"),
+    (_rosters_with(_program(size=3)), "rosters program #2: unknown keys ['size']"),
+    (_rosters_with({"id": "r2", "role": "reference"}),
+     "rosters program #2: missing keys ['faculty']"),
+    (_rosters_with(_program(id=4)), "rosters program #2: program id must be a string, got 4"),
+    (_rosters_with(_program(id=" ")), "rosters program #2: empty program id"),
+    (_rosters_with(_program(role="observer")),
+     "rosters program #2: role must be 'reference' or 'candidate', got 'observer'"),
+    (_rosters_with(_program(faculty="b1")), "rosters program #2: faculty must be an array"),
+    (_rosters_with(_program(faculty=[])), "empty roster for program 'r2' (rosters program #2)"),
+    (_rosters_with(_program(faculty=[None])),
+     "rosters program #2: author id must be a string, got None"),
+    (_rosters_with(_program(faculty=["b1", "b1 "])),
+     "rosters program #2: duplicate faculty member in 'r2'"),
+    (_rosters_with(_program(rank_hint=1.5)), "rosters program #2: rank_hint must be an integer"),
+    (_rosters_with(_program(rank_hint=0)), "rosters program #2: rank_hint must be >= 1, got 0"),
+    (_rosters_with(_program(id="r1")), "duplicate program id 'r1'"),
+    (_rosters_with(_program(id="r1", role="candidate")), "duplicate program id 'r1'"),
+    (_rosters_with(_program(faculty=["a1"])),
+     "faculty member 'a1' appears in both 'r1' and 'r2'"),
+    (json.dumps({"programs": [{"id": "r1", "role": "reference", "faculty": ["z9"]}]}),
+     "no publication by reference-program faculty; the venue set is empty"),
+    ('{"programs": [{"id": "r1", "role": "reference", "faculty": ["a1"], "role": "candidate"}]}',
+     "rosters document: duplicate key 'role'"),
+]
+
+
+@pytest.mark.parametrize(
+    ("pubs", "rosters", "message"),
+    [pytest.param(_record(id="p0") + "\n" + line + "\n", _rosters_with(), message,
+                  id=f"publications {number}")
+     for number, (line, message) in enumerate(PUBLICATION_REJECTIONS)]
+    + [pytest.param(_record(id="p0") + "\n", rosters, message, id=f"rosters {number}")
+       for number, (rosters, message) in enumerate(ROSTER_REJECTIONS)],
+)
+def test_validate_rejection_messages(tmp_path, capsys, pubs, rosters, message):
+    (tmp_path / "pubs.jsonl").write_text(pubs, encoding="utf-8")
+    (tmp_path / "rosters.json").write_text(rosters, encoding="utf-8")
+    code = run(["validate", "--pubs", str(tmp_path / "pubs.jsonl"),
+                "--rosters", str(tmp_path / "rosters.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rscore import (
     Corpus,
@@ -15,7 +17,7 @@ from rscore import (
     serialize_rosters,
 )
 
-from helpers import make_corpus
+from helpers import OracleReject, make_corpus, oracle_publications
 
 
 def _pub_line(pid, venue="v1", year=2010, authors=("a1",), **extra):
@@ -109,6 +111,61 @@ def test_parse_duplicate_publication_id():
 def test_parse_duplicate_author_within_record():
     with pytest.raises(CorpusError, match="duplicate author within record 'p1'"):
         parse_corpus(_pub_line("p1", authors=("a1", "a1")), SIMPLE_ROSTERS)
+
+
+def test_parse_duplicate_key_rejected():
+    line = '{"id": "p1", "venue": "v1", "id": "p2", "year": 2010, "authors": ["a1"]}'
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(_pub_line("p0") + "\n" + line, SIMPLE_ROSTERS)
+    assert str(info.value) == "publications line 2: duplicate key 'id'"
+
+
+def test_rosters_duplicate_key_rejected():
+    rosters = (
+        '{"programs": [{"id": "r1", "role": "reference", "faculty": ["a1"], "role": "candidate"}]}'
+    )
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(_pub_line("p1"), rosters)
+    assert str(info.value) == "rosters document: duplicate key 'role'"
+
+
+def test_records_end_at_line_feed_only():
+    # CRLF ends a record too; padding around a record is allowed.
+    lines = [_pub_line("p1"), "  " + _pub_line("p2") + "\t", "", _pub_line("p3")]
+    corpus = parse_corpus("\r\n".join(lines) + "\r\n", SIMPLE_ROSTERS)
+    assert [pub.id for pub in corpus.publications] == ["p1", "p2", "p3"]
+    assert parse_corpus("\n".join(lines), SIMPLE_ROSTERS) == corpus
+    # A separator other than LF inside a string does not end the line, so the
+    # next line keeps its number.
+    text = '{"id": "p1", "venue": "v\u2028w", "year": 2010, "authors": ["a1"]}\n' + _pub_line("p1")
+    with pytest.raises(CorpusError, match="^publications line 2: duplicate publication id"):
+        parse_corpus(text, SIMPLE_ROSTERS)
+
+
+def test_well_formed_lines_skip_the_reference_path(monkeypatch):
+    import rscore.corpus
+
+    checked = []
+    original = rscore.corpus._parse_line
+    monkeypatch.setattr(
+        rscore.corpus, "_parse_line",
+        lambda line, *rest: checked.append(line) or original(line, *rest),
+    )
+    lines = [_pub_line(f"p{i}", authors=("a1", "b1")) for i in range(3)] + [" " + _pub_line("p3")]
+    for end in ("\n", "\r\n"):
+        checked.clear()
+        parse_corpus(end.join(lines) + end, SIMPLE_ROSTERS)
+        assert checked == [" " + _pub_line("p3"), ""]
+
+
+def test_round_trip_keeps_line_separator_characters():
+    odd = "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"
+    corpus = make_corpus(
+        pubs=[(f"p{c}{i}", f"v{c}w", 2010, [f"a1{c}x", "a1"]) for i, c in enumerate(odd)],
+        refs=[("r1", ["a1"])],
+    )
+    reparsed = parse_corpus(serialize_publications(corpus), serialize_rosters(corpus))
+    assert reparsed == corpus
 
 
 def test_parse_non_integer_year_rejected():
@@ -262,3 +319,86 @@ def test_direct_construction_checks_window_containment():
 def test_unknown_program_lookup(walkthrough_corpus):
     with pytest.raises(CorpusError, match="unknown program id"):
         walkthrough_corpus.roster("nowhere")
+
+
+_ORACLE_ROSTERS = _rosters([{"id": "r1", "role": "reference", "faculty": ["r.a"]}])
+_ANCHOR = _pub_line("anchor", authors=("r.a",))
+# Ids come from a small pool, so they collide, also after trimming. The odd
+# characters are string content at which other line-splitting rules than
+# JSON Lines' would break a line.
+_IDS = st.sampled_from(["a", "b", " b ", "c\u2028d", "\x85e", "e", "f\u2029g", "h\x1ci"])
+_ODD_IDS = st.text(
+    st.sampled_from("ab \t\"\\\u00e9\u00a0\u2028\u2029\x85\x0b\x0c\x1c\x1e"), max_size=3
+)
+_BAD_VALUES = st.sampled_from(
+    [None, True, False, 2010.0, "2010", 5, -1, [], ["a", "a"], ["a", " a"], ["a", 7], "a", {"k": 1}]
+)
+_PADDING = st.sampled_from(["", " ", "\t", "\r", "\x0c", "\u2028", "\ufeff", " \t "])
+_MUTATIONS = ["none"] * 12 + ["value"] * 4 + [
+    "odd id", "flat", "drop", "extra", "repeat", "array", "scalar", "garbage", "nested", "pad",
+    "blank",
+]
+
+
+@st.composite
+def _publication_lines(draw):
+    """One line: a valid record, or one with a single mutation."""
+    keys = ["id", "venue", "year", "authors"]
+    record = {
+        "id": draw(_IDS),
+        "venue": draw(_IDS),
+        "year": draw(st.integers(1990, 2030)),
+        "authors": draw(st.lists(_IDS, min_size=1, max_size=3, unique=True)),
+    }
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    if mutation == "odd id":
+        key = draw(st.sampled_from(["id", "venue", "authors"]))
+        odd = draw(_ODD_IDS)
+        record[key] = [odd, *record[key]] if key == "authors" else odd
+    elif mutation == "value":
+        record[draw(st.sampled_from(keys))] = draw(_BAD_VALUES)
+    elif mutation == "flat":
+        record["authors"] = "".join(record["authors"])
+    elif mutation == "drop":
+        del record[draw(st.sampled_from(keys))]
+    elif mutation == "extra":
+        record["citations"] = 3
+    line = json.dumps(record, ensure_ascii=draw(st.booleans()))
+    if mutation == "repeat":
+        key = draw(st.sampled_from(keys))
+        line = line[:-1] + f", {json.dumps(key)}: {json.dumps(record[key])}}}"
+    elif mutation == "array":
+        line = json.dumps(list(record.items()))
+    elif mutation == "scalar":
+        line = draw(st.sampled_from(['"p1"', "5", "null", "true", "{}"]))
+    elif mutation == "garbage":
+        line += draw(st.sampled_from([" x", "}", ",", " {}"]))
+    elif mutation == "nested":
+        depth = draw(st.sampled_from([3, 5000]))
+        line = line.replace('"authors": ', '"authors": ' + "[" * depth, 1)
+        line = line[:-1] + "]" * depth + "}"
+    elif mutation == "pad":
+        line = draw(_PADDING) + line + draw(_PADDING)
+    elif mutation == "blank":
+        line = draw(_PADDING)
+    return line
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    lines=st.lists(st.tuples(_publication_lines(), st.sampled_from(["\n", "\r\n"])),
+                   min_size=1, max_size=5),
+)
+def test_parse_matches_line_oracle(lines):
+    text = _ANCHOR + "\n" + "".join(line + end for line, end in lines)
+    try:
+        expected = oracle_publications(text)
+    except OracleReject as exc:
+        with pytest.raises(CorpusError) as info:
+            parse_corpus(text, _ORACLE_ROSTERS)
+        assert str(info.value) == str(exc)
+    else:
+        corpus = parse_corpus(text, _ORACLE_ROSTERS)
+        assert [
+            (pub.id, pub.venue, pub.year, pub.authors) for pub in corpus.publications
+        ] == expected
