@@ -133,20 +133,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _counts_sections(corpus: Corpus, counts: CountsTable):
-    programs = [r.program_id for r in corpus.programs]
     roles = {r.program_id: r.role.value for r in corpus.programs}
-    venue_rows = [(venue, counts.per_venue[venue]) for venue in counts.venue_index]
-    program_rows = [(pid, roles[pid], counts.per_program[pid]) for pid in programs]
+    venue_rows = list(counts.per_venue.items())
+    program_rows = [(pid, roles[pid], total) for pid, total in counts.per_program.items()]
+    # np.nonzero walks the matrix in row-major order: programs, then venues.
+    rows, columns = np.nonzero(counts.matrix)
     program_venue_rows = [
-        (pid, venue, counts.per_program_venue[(pid, venue)])
-        for pid in programs
-        for venue in counts.venue_index
-        if (pid, venue) in counts.per_program_venue
+        (counts.programs[r], counts.venue_index[j], c)
+        for r, j, c in zip(
+            rows.tolist(), columns.tolist(), counts.matrix[rows, columns].tolist()
+        )
     ]
-    faculty_rows = sorted(
-        (pid, faculty, venue, weight)
-        for (pid, faculty, venue), weight in counts.per_faculty_venue.items()
-    )
+    # The per-faculty table is already in (program, faculty, venue) order.
+    table = counts.per_faculty_venue
+    faculty_rows = zip(table, map(Fraction.as_integer_ratio, table.values()))
     return venue_rows, program_rows, program_venue_rows, faculty_rows
 
 
@@ -173,9 +173,9 @@ def _cmd_counts(args: argparse.Namespace) -> int:
                     for p, v, c in program_venue_rows
                 ],
                 "faculty_venue": [
-                    {"program": p, "faculty": f, "venue": v, "count": float(c),
-                     "exact": _fmt_exact(c)}
-                    for p, f, v, c in faculty_rows
+                    {"program": p, "faculty": f, "venue": v, "count": n / d,
+                     "exact": f"{n}/{d}"}
+                    for (p, f, v), (n, d) in faculty_rows
                 ],
             }
         )
@@ -191,9 +191,9 @@ def _cmd_counts(args: argparse.Namespace) -> int:
         f"{p}\t{v}\t{_fmt(float(c))}\t{_fmt_exact(c)}" for p, v, c in program_venue_rows
     ]
     lines += ["# faculty_venue", "program\tfaculty\tvenue\tcount\texact"]
+    # n / d is the correctly rounded float that float(Fraction(n, d)) gives.
     lines += [
-        f"{p}\t{f}\t{v}\t{_fmt(float(c))}\t{_fmt_exact(c)}"
-        for p, f, v, c in faculty_rows
+        f"{p}\t{f}\t{v}\t{n / d:.6f}\t{n}/{d}" for (p, f, v), (n, d) in faculty_rows
     ]
     _emit(lines)
     return 0

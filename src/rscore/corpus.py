@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import json.scanner
 import logging
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -163,7 +164,8 @@ def parse_corpus(
     ``publications`` is JSON Lines: one JSON object per line, a line ending
     at LF (CRLF accepted), with exactly the keys ``id``, ``venue``, ``year``,
     ``authors``, each once. ``rosters`` is a single JSON document with a
-    ``programs`` array; no object in it may repeat a key. Records outside
+    ``programs`` array; no object in it may repeat a key. Every id must be
+    valid Unicode, so one holding a lone surrogate is rejected. Records outside
     ``year_window`` (inclusive on both ends) are dropped and counted, with a
     logged warning.
 
@@ -214,7 +216,35 @@ def _clean_id(value: object, what: str, where: str) -> str:
     cleaned = value.strip()
     if not cleaned:
         raise CorpusError(f"{where}: empty {what}")
+    if not cleaned.isascii() and not _encodes(cleaned):
+        raise CorpusError(f"{where}: {what} is not valid Unicode")
     return cleaned
+
+
+def _encodes(text: str) -> bool:
+    """Whether ``text`` is valid Unicode: UTF-8 has no form for a lone surrogate."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+# A JSON escape of a UTF-16 surrogate, \uD800 to \uDFFF.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _may_hold_surrogate(text: str) -> bool:
+    """Whether a string decoded from the JSON ``text`` may hold a lone surrogate.
+
+    C-level scans only: a surrogate can only come from a surrogate escape
+    or, when the text is not ASCII, from the text itself, and a text with
+    no backslash (a single-character search) holds no escape. A valid
+    escaped pair also answers True; its ids are then checked one by one.
+    """
+    if "\\" in text and _SURROGATE_ESCAPE.search(text) is not None:
+        return True
+    return not text.isascii() and not _encodes(text)
 
 
 class _DuplicateKeyError(Exception):
@@ -259,12 +289,14 @@ def _parse_publications(text: str) -> list[PublicationRecord]:
 
     A line that is exactly one well-formed record, with nothing around it,
     is decoded and checked with C-level operations only. Any other line
-    (blank, padded, malformed or rejected) goes to :func:`_parse_line`, the
-    reference checks, which accept it or raise the line's error.
+    (blank, padded, malformed, rejected, or one that may hold a lone
+    surrogate) goes to :func:`_parse_line`, the reference checks, which
+    accept it or raise the line's error.
     """
     records: list[PublicationRecord] = []
     seen: set[str] = set()
     strip = str.strip
+    suspect = _may_hold_surrogate(text)
     lines = text.replace("\r\n", "\n").split("\n")
     for lineno, line in enumerate(lines, start=1):
         try:
@@ -284,6 +316,7 @@ def _parse_publications(text: str) -> list[PublicationRecord]:
                 and type(year) is int
                 and type(raw_authors) is list
                 and pub_id not in seen
+                and not (suspect and _may_hold_surrogate(line))
             ):
                 authors = tuple(map(strip, raw_authors))
                 if authors and all(authors) and len(set(authors)) == len(authors):

@@ -11,12 +11,13 @@ per-faculty table, which is built from the corpus when it is first read.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,9 +34,6 @@ class VenueMode(str, Enum):
 
     PER_PROGRAM = "per-program"
     DISTINCT_PAPER = "distinct-paper"
-
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +106,7 @@ class CountsTable:
         """Co-author-weighted paper count for one faculty member in one venue."""
         self.row(program_id)
         self.column(venue)
-        return self.per_faculty_venue.get((program_id, faculty, venue), _ZERO)
+        return self.per_faculty_venue.get((program_id, faculty, venue), Fraction(0))
 
     def program_venue(self, program_id: str, venue: VenueId) -> int:
         """Distinct papers by the program's roster in one venue."""
@@ -143,33 +141,86 @@ class CountsTable:
     def per_faculty_venue(self) -> Mapping[tuple[str, AuthorId, VenueId], Fraction]:
         """Nonzero ``faculty_venue`` weights keyed by (program, member, venue).
 
-        Built on first read by one more pass over the corpus: papers are
-        tallied per member and per number of same-roster co-authors, and
-        each tally becomes one exact fraction.
+        Built on first read by one more pass over the corpus, and ordered by
+        key: roster members are numbered in (program, member) order and
+        venue columns follow venue id order, so the tallies, sorted by
+        (member, column), come in key order. Papers are tallied per cell and
+        per number ``d`` of authors from the member's roster, and each
+        cell's tallies are summed exactly, in Python integers, into one
+        fraction.
         """
-        home = {
-            member: roster.program_id
+        members = sorted(
+            (roster.program_id, member)
             for roster in self.corpus.programs
             if roster.program_id in self._rows
             for member in roster.faculty
-        }
-        tally: Counter[tuple[str, AuthorId, VenueId, int]] = Counter()
-        for pub in self.corpus.publications:
-            if pub.venue not in self._columns:
-                continue
-            groups: dict[str, list[AuthorId]] = {}
-            for author in pub.authors:
-                program = home.get(author)
-                if program is not None:
-                    groups.setdefault(program, []).append(author)
-            for program, members in groups.items():
-                for member in members:
-                    tally[program, member, pub.venue, len(members)] += 1
-        table: dict[tuple[str, AuthorId, VenueId], Fraction] = {}
-        for (program, member, venue, same_program), papers in tally.items():
-            key = (program, member, venue)
-            table[key] = table.get(key, _ZERO) + Fraction(papers, same_program)
-        return table
+        )
+        member, column, same_roster, papers = self._faculty_tallies(members)
+        closes = np.ones(len(member), dtype=bool)
+        closes[:-1] = (member[1:] != member[:-1]) | (column[1:] != column[:-1])
+
+        # Cells share few distinct weights, so each is built once.
+        fractions: dict[tuple[int, int], Fraction] = {}
+        weights: list[Fraction] = []
+        numerator, denominator = 0, 1
+        for d, n, close in zip(same_roster.tolist(), papers.tolist(), closes.tolist()):
+            numerator, denominator = numerator * d + n * denominator, denominator * d
+            if close:
+                key = numerator, denominator
+                value = fractions.get(key)
+                if value is None:
+                    value = fractions[key] = Fraction(numerator, denominator)
+                weights.append(value)
+                numerator, denominator = 0, 1
+
+        # Object-array indexing gathers the key parts faster than a loop.
+        ids = np.array(members, dtype=object).reshape(-1, 2)[member[closes]]
+        venues = np.array(self.venue_index, dtype=object)[column[closes]]
+        keys = zip(ids[:, 0].tolist(), ids[:, 1].tolist(), venues.tolist())
+        return dict(zip(keys, weights))
+
+    def _faculty_tallies(
+        self, members: list[tuple[str, AuthorId]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Papers per (member, column, d), in that order, as four arrays.
+
+        ``members`` numbers the roster members; ``d`` is the number of the
+        paper's authors on the member's roster. The per-author arrays live
+        only in this call, so they are gone before the table is built.
+        """
+        number = {member: m for m, (_, member) in enumerate(members)}
+        home = np.array([self._rows[pid] for pid, _ in members], dtype=np.int64)
+        pubs = self.corpus.publications
+        authors = list(map(attrgetter("authors"), pubs))
+        member = np.fromiter(
+            map(number.get, chain.from_iterable(authors), repeat(-1)), dtype=np.int64
+        )
+        paper = np.repeat(
+            np.arange(len(pubs)), np.fromiter(map(len, authors), np.int64, len(pubs))
+        )
+        column = np.fromiter(
+            map(self._columns.get, map(attrgetter("venue"), pubs), repeat(-1)),
+            np.int64, len(pubs),
+        )[paper]
+        keep = (member >= 0) & (column >= 0)
+        member, paper, column = member[keep], paper[keep], column[keep]
+        _, group, group_size = np.unique(
+            paper * len(self.programs) + home[member],
+            return_inverse=True, return_counts=True,
+        )
+        same_roster = group_size[group]
+
+        order = np.lexsort((same_roster, column, member))
+        member, column, same_roster = member[order], column[order], same_roster[order]
+        last = np.ones(len(member), dtype=bool)
+        last[:-1] = (
+            (member[1:] != member[:-1])
+            | (column[1:] != column[:-1])
+            | (same_roster[1:] != same_roster[:-1])
+        )
+        ends = np.flatnonzero(last)
+        papers = np.diff(ends, prepend=-1)
+        return member[ends], column[ends], same_roster[ends], papers
 
     def reference_prefix(self, size: int) -> CountsTable:
         """The table of the corpus cut to its first ``size`` reference programs.
@@ -208,7 +259,7 @@ def weighted_faculty_count(
             f"faculty member {faculty!r} is not in the roster of {program_id!r}"
         )
     _require_reference_venue(corpus, venue)
-    total = _ZERO
+    total = Fraction(0)
     for pub in corpus.publications:
         if pub.venue != venue or faculty not in pub.authors:
             continue
@@ -222,7 +273,7 @@ def program_venue_count(corpus: Corpus, program_id: str, venue: VenueId) -> Frac
     papers in ``venue`` with at least one roster author."""
     roster = corpus.roster(program_id)
     _require_reference_venue(corpus, venue)
-    total = _ZERO
+    total = Fraction(0)
     for pub in corpus.publications:
         if pub.venue != venue:
             continue

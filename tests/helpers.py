@@ -198,6 +198,8 @@ def oracle_publications(text: str) -> list[tuple[str, str, int, tuple[str, ...]]
                 raise OracleReject(f"{where}: {what} must be a string, got {raw!r}")
             if raw.strip() == "":
                 raise OracleReject(f"{where}: empty {what}")
+            if any(0xD800 <= ord(char) <= 0xDFFF for char in raw):
+                raise OracleReject(f"{where}: {what} is not valid Unicode")
             return raw.strip()
 
         pub_id = identifier(value["id"], "publication id")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rscore import serialize_publications, serialize_rosters
-from rscore.cli import run
+from rscore.cli import _COMMANDS, run
 
 from helpers import random_corpus
 
@@ -257,6 +257,17 @@ def _run_cli(argv, timeout=20):
     )
 
 
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_subcommand_in_a_fresh_interpreter(walkthrough_args, fixture_dir, capsys, command):
+    argv = [command, *walkthrough_args]
+    if command == "compare":
+        argv += ["--grades", str(fixture_dir / "grades.tsv")]
+    result = _run_cli(argv)
+    assert result.returncode == 0, result.stderr
+    assert run(argv) == 0
+    assert result.stdout == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
 def test_compare_rejects_non_finite_grade(walkthrough_args, tmp_path, bad):
     grades = tmp_path / "grades.tsv"
@@ -365,8 +376,8 @@ def _rosters_with(*extra):
 
 
 # One bad second line per publication rule, and the error line it gives.
-# Every message but the duplicate-key and digit-limit ones was recorded
-# before the fast parser existed.
+# Every message but the duplicate-key, digit-limit and Unicode ones was
+# recorded before the fast parser existed.
 PUBLICATION_REJECTIONS = [
     ("not json", "publications line 2: malformed record: Expecting value"),
     (_record() + " x", "publications line 2: malformed record: Extra data"),
@@ -393,6 +404,10 @@ PUBLICATION_REJECTIONS = [
     (_record(authors=["a1", 7]), "publications line 2: author id must be a string, got 7"),
     (_record(authors=["a1", " "]), "publications line 2: empty author id"),
     (_record(authors=["a1", " a1"]), "duplicate author within record 'p1' (publications line 2)"),
+    (_record(id="p\udc00"), "publications line 2: publication id is not valid Unicode"),
+    (_record(venue="v\ud800"), "publications line 2: venue id is not valid Unicode"),
+    (_record(authors=["a1", "\ude00\ud83d"]),
+     "publications line 2: author id is not valid Unicode"),
     ('{"id": "p1", "id": "p2", "venue": "v1", "year": 2010, "authors": ["a1"]}',
      "publications line 2: duplicate key 'id'"),
     ('{"id": "p1", "venue": "v1", "year": ' + "9" * 5000 + ', "authors": ["a1"]}',
@@ -423,6 +438,10 @@ ROSTER_REJECTIONS = [
      "rosters program #2: author id must be a string, got None"),
     (_rosters_with(_program(faculty=["b1", "b1 "])),
      "rosters program #2: duplicate faculty member in 'r2'"),
+    (_rosters_with(_program(id="r\udfff")),
+     "rosters program #2: program id is not valid Unicode"),
+    (_rosters_with(_program(faculty=["b1", "b\ud800"])),
+     "rosters program #2: author id is not valid Unicode"),
     (_rosters_with(_program(rank_hint=1.5)), "rosters program #2: rank_hint must be an integer"),
     (_rosters_with(_program(rank_hint=0)), "rosters program #2: rank_hint must be >= 1, got 0"),
     (_rosters_with(_program(id="r1")), "duplicate program id 'r1'"),

@@ -129,6 +129,24 @@ def test_rosters_duplicate_key_rejected():
     assert str(info.value) == "rosters document: duplicate key 'role'"
 
 
+def test_ids_must_be_valid_unicode():
+    # An escaped surrogate pair is one character; a lone surrogate, escaped or
+    # raw, cannot be written as UTF-8 and is rejected with its line.
+    pair = '{"id": "p1", "venue": "v\\ud83d\\ude00", "year": 2010, "authors": ["a1"]}'
+    assert parse_corpus(pair, SIMPLE_ROSTERS).publications[0].venue == "v\U0001f600"
+    escaped_lone = _pub_line("p1", venue="v\ud800")
+    escaped_reversed_pair = _pub_line("p1", venue="v\ude00\ud83d")
+    raw_lone = '{"id": "p1", "venue": "v\ud800", "year": 2010, "authors": ["a1"]}'
+    for line in (escaped_lone, escaped_reversed_pair, raw_lone):
+        with pytest.raises(CorpusError) as info:
+            parse_corpus(_pub_line("p0") + "\n" + line, SIMPLE_ROSTERS)
+        assert str(info.value) == "publications line 2: venue id is not valid Unicode"
+    rosters = '{"programs": [{"id": "r1", "role": "reference", "faculty": ["a1", "a\udbff"]}]}'
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(_pub_line("p1"), rosters)
+    assert str(info.value) == "rosters program #1: author id is not valid Unicode"
+
+
 def test_records_end_at_line_feed_only():
     # CRLF ends a record too; padding around a record is allowed.
     lines = [_pub_line("p1"), "  " + _pub_line("p2") + "\t", "", _pub_line("p3")]
@@ -307,6 +325,37 @@ def test_every_returned_venue_has_a_qualifying_publication(walkthrough_corpus):
         )
 
 
+@pytest.mark.parametrize(
+    ("pubs", "message"),
+    [
+        ([("p1", "v1", 2010, ["a1"]), ("", "v1", 2010, ["a1"])], "publication with empty id"),
+        ([("p1", "v1", 2010, ["a1"]), ("p1", "v1", 2010, ["a2"])],
+         "duplicate publication id 'p1'"),
+        ([("p1", "v1", 2010, ["a1"]), ("p2", "v1", 2010, [])],
+         "empty author list in record 'p2'"),
+        ([("p1", "v1", 2010, ["a1"]), ("p2", "v1", 2010, ["a1", "a1"])],
+         "duplicate author within record 'p2'"),
+        ([("p1", "v1", 2010, ["a1"]), ("p2", "v1", 2011, ["a1"])],
+         "record 'p2' year 2011 outside window [2005, 2010]"),
+        ([("p1", "v1", 2004, ["a1"]), ("p2", "v1", 2010, ["a1"])],
+         "record 'p1' year 2004 outside window [2005, 2010]"),
+        # The first bad record wins; within one record, the rules go in order.
+        ([("p1", "v1", 2011, ["a1"]), ("", "v1", 2010, ["a1"])],
+         "record 'p1' year 2011 outside window [2005, 2010]"),
+        ([("p1", "v1", 2010, ["a1", "a1"]), ("p1", "v1", 2010, ["a1"])],
+         "duplicate author within record 'p1'"),
+        ([("p1", "v1", 2011, []), ("p2", "v1", 2010, ["a1", "a1"])],
+         "empty author list in record 'p1'"),
+        ([("p1", "v1", 2010, ["a1"]), ("p1", "v1", 2011, [])],
+         "duplicate publication id 'p1'"),
+    ],
+)
+def test_direct_construction_names_first_bad_record(pubs, message):
+    with pytest.raises(CorpusError) as info:
+        make_corpus(pubs=pubs, refs=[("r1", ["a1"])], window=(2005, 2010))
+    assert str(info.value) == message
+
+
 def test_direct_construction_checks_window_containment():
     with pytest.raises(CorpusError, match="outside window"):
         make_corpus(
@@ -328,7 +377,10 @@ _ANCHOR = _pub_line("anchor", authors=("r.a",))
 # JSON Lines' would break a line.
 _IDS = st.sampled_from(["a", "b", " b ", "c\u2028d", "\x85e", "e", "f\u2029g", "h\x1ci"])
 _ODD_IDS = st.text(
-    st.sampled_from("ab \t\"\\\u00e9\u00a0\u2028\u2029\x85\x0b\x0c\x1c\x1e"), max_size=3
+    st.sampled_from(
+        "ab \t\"\\\u00e9\u00a0\u2028\u2029\x85\x0b\x0c\x1c\x1e\ud83d\ude00\udbff"
+    ),
+    max_size=3,
 )
 _BAD_VALUES = st.sampled_from(
     [None, True, False, 2010.0, "2010", 5, -1, [], ["a", "a"], ["a", " a"], ["a", 7], "a", {"k": 1}]
@@ -402,3 +454,42 @@ def test_parse_matches_line_oracle(lines):
         assert [
             (pub.id, pub.venue, pub.year, pub.authors) for pub in corpus.publications
         ] == expected
+
+
+# Pieces of both input formats, escapes and surrogates included, so that
+# arbitrary text also gets past the first checks of the parser.
+_PIECES = st.sampled_from(
+    ['{', '}', '[', ']', ': ', ', ', '"', '"id"', '"venue"', '"year"', '"authors"',
+     '"programs"', '"role"', '"faculty"', '"rank_hint"', '"reference"', '"candidate"',
+     '"r.a"', '"v1"', '2010', '-1', '1e999', 'NaN', 'true', 'null', '\\', '\\u', '\\ud800',
+     '\\udc00', '\\ud83d\\ude00', '\ud800', '﻿', ' ', '\t', '\n', '\r\n', '\r', ' ']
+)
+_TEXT = st.one_of(
+    st.text(), st.lists(st.one_of(_PIECES, st.text(max_size=3)), max_size=40).map("".join)
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    publications=st.one_of(
+        _TEXT,
+        _TEXT.map(lambda text: _ANCHOR + "\n" + text),
+        _TEXT.map(
+            lambda text: '{"id": "p1", "venue": "v' + text + '", "year": 2010, "authors": ["r.a"]}'
+        ),
+    ),
+    rosters=st.one_of(st.just(_ORACLE_ROSTERS), _TEXT),
+    window=st.sampled_from([None, (2000, 2020)]),
+)
+def test_parse_arbitrary_text_gives_corpus_or_corpus_error(publications, rosters, window):
+    try:
+        corpus = parse_corpus(publications, rosters, window)
+    except CorpusError:
+        return
+    ids = [program.program_id for program in corpus.programs]
+    for program in corpus.programs:
+        ids += program.faculty
+    for pub in corpus.publications:
+        ids += [pub.id, pub.venue, *pub.authors]
+    for value in ids:
+        value.encode()  # valid Unicode: every id can be printed as UTF-8

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,11 @@ from rscore import (
     VenueMode,
     build_counts,
     program_venue_count,
+    serialize_publications,
+    serialize_rosters,
     weighted_faculty_count,
 )
+from rscore.cli import run
 
 from helpers import make_corpus, oracle_counts, random_corpus
 
@@ -255,6 +259,7 @@ def test_build_counts_matches_oracle_on_random_corpora(
     assert dict(counts.per_program) == per_program
     assert "per_faculty_venue" not in vars(counts)  # built only when read
     assert dict(counts.per_faculty_venue) == per_faculty
+    assert list(counts.per_faculty_venue) == sorted(per_faculty)
     for (program, member, venue), weight in per_faculty.items():
         assert counts.faculty_venue(program, member, venue) == weight
 
@@ -278,3 +283,26 @@ def test_count_arrays_are_read_only(walkthrough_corpus):
             table.matrix[0, 0] = 7
         with pytest.raises(ValueError):
             table.first_reference[0, 0] = 7
+
+
+def test_faculty_weight_stays_exact_past_int64(tmp_path, capsys):
+    # m00 writes one paper with d authors from its roster for each prime d;
+    # the weight's denominator, the lcm of the d, does not fit in int64.
+    primes = [61, 59, 53, 47, 43, 41, 37, 31, 29, 23, 19, 17, 13]
+    assert math.lcm(*primes) > 2**63
+    faculty = [f"m{i:02d}" for i in range(max(primes))]
+    corpus = make_corpus(
+        pubs=[(f"p{d}", "v1", 2010, faculty[:d] + ["outsider"]) for d in primes],
+        refs=[("r1", faculty)],
+    )
+    expected = sum(Fraction(1, d) for d in primes)
+    assert build_counts(corpus).faculty_venue("r1", "m00", "v1") == expected
+
+    (tmp_path / "pubs.jsonl").write_text(serialize_publications(corpus), encoding="utf-8")
+    (tmp_path / "rosters.json").write_text(serialize_rosters(corpus), encoding="utf-8")
+    assert run(["counts", "--pubs", str(tmp_path / "pubs.jsonl"),
+                "--rosters", str(tmp_path / "rosters.json")]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("r1\tm00\t")]
+    assert rows == [
+        f"r1\tm00\tv1\t{float(expected):.6f}\t{expected.numerator}/{expected.denominator}"
+    ]
