@@ -30,8 +30,6 @@ from .counts import (
     CountsTable,
     VenueMode,
     build_counts,
-    program_venue_count,
-    weighted_faculty_count,
 )
 from .errors import (
     AnalysisError,
@@ -53,7 +51,7 @@ from .reputation import (
     stationary_gth,
     venue_reputation,
 )
-from .scoring import ScoreReport, ScoreRow, per_faculty_view, raw_score, score_programs
+from .scoring import ScoreReport, ScoreRow, raw_score, score_programs
 
 __version__ = "0.1.0"
 
@@ -86,8 +84,6 @@ __all__ = [
     "build_transitions",
     "compare_rankings",
     "parse_corpus",
-    "per_faculty_view",
-    "program_venue_count",
     "raw_score",
     "reference_venue_set",
     "score_programs",
@@ -97,5 +93,4 @@ __all__ = [
     "stability_sweep",
     "stationary_gth",
     "venue_reputation",
-    "weighted_faculty_count",
 ]

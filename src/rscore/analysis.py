@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 from .corpus import Corpus
-from .counts import VenueMode, build_counts
+from .counts import build_counts
 from .errors import AnalysisError, DegenerateRankingError, RScoreError
 from .reputation import build_reputation_model
 from .scoring import ScoreReport, score_programs
@@ -98,9 +98,7 @@ class StabilityReport:
     rankings: Mapping[int, tuple[str, ...]]
 
 
-def stability_sweep(
-    corpus: Corpus, k: int, venue_mode: VenueMode = VenueMode.PER_PROGRAM
-) -> StabilityReport:
+def stability_sweep(corpus: Corpus, k: int) -> StabilityReport:
     """Score the candidates against every reference-set prefix of size 1..k.
 
     Each prefix keeps its own venue set: the venues its reference programs
@@ -120,7 +118,7 @@ def stability_sweep(
     # A corpus with no reference venue fails on its smallest prefix.
     size = 1
     try:
-        counts = build_counts(corpus, venue_mode)
+        counts = build_counts(corpus)
         for size in range(1, k + 1):
             prefix = counts.reference_prefix(size)
             model = build_reputation_model(prefix)

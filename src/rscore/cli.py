@@ -243,22 +243,22 @@ def _cmd_venues(args: argparse.Namespace) -> int:
     return 0
 
 
-def _score_candidates(args: argparse.Namespace) -> tuple[ScoreReport, Corpus]:
+def _score_candidates(args: argparse.Namespace) -> tuple[ScoreReport, ReputationModel]:
     corpus, counts, model = _build_model(args)
     candidates = [r.program_id for r in corpus.candidate_programs]
     if not candidates:
         raise AnalysisError("no candidate programs in the rosters file")
-    return score_programs(model, counts, candidates), corpus
+    return score_programs(model, counts, candidates), model
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    report, _ = _score_candidates(args)
+    report, model = _score_candidates(args)
     if report.zero_scores:
         print("warning: every candidate scored zero", file=sys.stderr)
     if args.json:
         _emit_json(
             {
-                "model_digest": report.model_digest,
+                "model_digest": model.digest,
                 "zero_scores": report.zero_scores,
                 "rows": [
                     {
@@ -294,7 +294,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     k = args.k if args.k is not None else len(corpus.reference_programs)
     if k < 1:
         raise AnalysisError(f"k must be >= 1, got {k}")
-    report = stability_sweep(corpus, k, _VENUE_MODES[args.venue_mode])
+    report = stability_sweep(corpus, k)
     comparisons = list(report.adjacent) + [report.first_vs_last]
     if args.json:
         _emit_json(

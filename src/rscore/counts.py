@@ -26,10 +26,12 @@ from .errors import CountsError, EmptyVenueSetError
 
 
 class VenueMode(str, Enum):
-    """How per-venue totals treat papers shared by several reference programs.
+    """How reported per-venue totals treat papers shared by several reference
+    programs.
 
     PER_PROGRAM (the default) counts a shared paper once per contributing
-    program; DISTINCT_PAPER counts it once overall.
+    program; DISTINCT_PAPER counts it once overall. The reputation model
+    does not depend on the mode.
     """
 
     PER_PROGRAM = "per-program"
@@ -105,6 +107,10 @@ class CountsTable:
     def faculty_venue(self, program_id: str, faculty: AuthorId, venue: VenueId) -> Fraction:
         """Co-author-weighted paper count for one faculty member in one venue."""
         self.row(program_id)
+        if faculty not in self.corpus.roster(program_id).faculty:
+            raise CountsError(
+                f"faculty member {faculty!r} is not in the roster of {program_id!r}"
+            )
         self.column(venue)
         return self.per_faculty_venue.get((program_id, faculty, venue), Fraction(0))
 
@@ -246,46 +252,6 @@ class CountsTable:
             corpus=self.corpus,
             venue_mode=self.venue_mode,
         )
-
-
-def weighted_faculty_count(
-    corpus: Corpus, program_id: str, faculty: AuthorId, venue: VenueId
-) -> Fraction:
-    """Sum of 1/a over the member's papers in ``venue``, where ``a`` is the
-    number of co-authors on the paper that belong to the same roster."""
-    roster = corpus.roster(program_id)
-    if faculty not in roster.faculty:
-        raise CountsError(
-            f"faculty member {faculty!r} is not in the roster of {program_id!r}"
-        )
-    _require_reference_venue(corpus, venue)
-    total = Fraction(0)
-    for pub in corpus.publications:
-        if pub.venue != venue or faculty not in pub.authors:
-            continue
-        same_program = sum(1 for author in pub.authors if author in roster.faculty)
-        total += Fraction(1, same_program)
-    return total
-
-
-def program_venue_count(corpus: Corpus, program_id: str, venue: VenueId) -> Fraction:
-    """Summed weighted counts over the roster; equals the number of distinct
-    papers in ``venue`` with at least one roster author."""
-    roster = corpus.roster(program_id)
-    _require_reference_venue(corpus, venue)
-    total = Fraction(0)
-    for pub in corpus.publications:
-        if pub.venue != venue:
-            continue
-        # The roster members' 1/a shares of one paper always sum to 1.
-        if not roster.faculty.isdisjoint(pub.authors):
-            total += 1
-    return total
-
-
-def _require_reference_venue(corpus: Corpus, venue: VenueId) -> None:
-    if venue not in reference_venue_set(corpus):
-        raise CountsError(f"venue {venue!r} is not in the reference venue set")
 
 
 def build_counts(

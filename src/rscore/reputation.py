@@ -12,15 +12,12 @@ reputations follow by one more transition step.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CountsTable, VenueMode
+from .counts import CountsTable
 from .errors import ModelError, ReducibleChainError
-
-logger = logging.getLogger(__name__)
 
 # Build-time stochasticity assertions on the raw matrices.
 ROW_SUM_TOL = 1e-12
@@ -35,8 +32,8 @@ class TransitionStructure:
 
     ``alpha[j, w]`` is program ``w``'s share of venue ``j``'s papers;
     ``beta[w, j]`` is venue ``j``'s share of program ``w``'s papers. Rows of
-    ``beta`` sum to one, and so do columns of ``alpha`` (renormalized in
-    distinct-paper mode, see :func:`build_transitions`).
+    ``beta`` and of ``alpha`` sum to one. Both come from the per-program
+    counts alone, so the counting mode of the table does not change them.
     """
 
     alpha: np.ndarray
@@ -71,18 +68,17 @@ def build_transitions(counts: CountsTable) -> TransitionStructure:
     """Build the alpha and beta blocks from a counts table.
 
     beta is the reference rows of the count matrix over their row sums and
-    alpha its columns over the venue totals. Counts and totals are integers
-    below 2**53, so each entry is the correctly rounded quotient.
+    alpha the same rows over their column sums, transposed. Counts and sums
+    are integers below 2**53, so each entry is the correctly rounded
+    quotient. The table's venue mode only changes its reported venue totals,
+    which are not read here.
 
     Every reference program must have at least one paper in the venue set,
-    otherwise its outgoing row would be undefined. In distinct-paper mode the
-    per-venue totals undercount shared papers, so alpha columns are
-    renormalized to keep the chain stochastic; a notice is logged because
-    this renormalization is what makes both counting modes solvable.
+    otherwise its outgoing row would be undefined.
     """
     programs = counts.reference_programs
     venues = counts.venue_index
-    t, v = len(programs), len(venues)
+    t = len(programs)
     if t == 0:
         raise ModelError("no reference programs")
 
@@ -96,16 +92,7 @@ def build_transitions(counts: CountsTable) -> TransitionStructure:
         )
 
     beta = reference / totals[:, None]
-    alpha = np.ascontiguousarray((reference / counts.venue_totals).T)
-
-    if counts.venue_mode is VenueMode.DISTINCT_PAPER:
-        # alpha is venue-by-program; each venue must redistribute fully.
-        alpha = alpha / alpha.sum(axis=1, keepdims=True)
-        logger.info(
-            "distinct-paper mode: renormalized %d venue distributions to keep "
-            "the chain stochastic",
-            v,
-        )
+    alpha = np.ascontiguousarray((reference / reference.sum(axis=0)).T)
 
     row_sums = beta.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:

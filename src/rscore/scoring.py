@@ -9,7 +9,7 @@ in [0, 1]; dividing by roster size first gives the per-faculty variant.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class ScoreReport:
     """
 
     rows: tuple[ScoreRow, ...]
-    model_digest: str
     zero_scores: bool = False
 
 
@@ -109,26 +108,4 @@ def score_programs(
         )
         for pid in ordered
     )
-    return ScoreReport(rows=rows, model_digest=model.digest, zero_scores=zero_scores)
-
-
-def per_faculty_view(report: ScoreReport) -> ScoreReport:
-    """Recompute the per-faculty normalization and ranks from the raw scores.
-
-    Total-score fields and row order are left untouched, so the result pairs
-    directly with the input row for row.
-    """
-    per_faculty = [row.raw_score / row.faculty_count for row in report.rows]
-    max_pf = max(per_faculty)
-    ranks = _competition_ranks(per_faculty)
-    rows = tuple(
-        replace(
-            row,
-            r_score_per_faculty=0.0 if max_pf == 0.0 else value / max_pf,
-            rank_per_faculty=rank,
-        )
-        for row, value, rank in zip(report.rows, per_faculty, ranks)
-    )
-    return ScoreReport(
-        rows=rows, model_digest=report.model_digest, zero_scores=report.zero_scores
-    )
+    return ScoreReport(rows=rows, zero_scores=zero_scores)

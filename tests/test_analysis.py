@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,6 @@ def _report(rows):
             ScoreRow(pid, 1, raw, r, r, rank, rank)
             for pid, raw, r, rank in rows
         ),
-        model_digest="t",
     )
 
 
@@ -246,11 +246,16 @@ def test_sweep_matches_independent_recomputation():
 
 
 def test_sweep_venue_mode_passthrough():
+    # the sweep takes no venue mode: every prefix ranks alike in both modes
     corpus = random_corpus(np.random.default_rng(556), n_ref=3, hub=True)
-    per_program = stability_sweep(corpus, 3, VenueMode.PER_PROGRAM)
-    distinct = stability_sweep(corpus, 3, VenueMode.DISTINCT_PAPER)
-    for size in per_program.sizes:
-        assert per_program.rankings[size] == distinct.rankings[size]
+    report = stability_sweep(corpus, 3)
+    candidates = [r.program_id for r in corpus.candidate_programs]
+    for mode in VenueMode:
+        counts = build_counts(corpus, mode)
+        for size in report.sizes:
+            prefix = counts.reference_prefix(size)
+            ranked = score_programs(build_reputation_model(prefix), prefix, candidates)
+            assert report.rankings[size] == tuple(row.program_id for row in ranked.rows)
 
 
 def test_compare_exact_agreement():
@@ -305,20 +310,24 @@ def _rebuilt_prefix(corpus, size, mode):
     prefix corpus, rebuilt from scratch.
 
     Counts come from the brute-force oracle and the blocks from its exact
-    fractions; the solver steps are the package's own. Raises RScoreError
-    where the prefix has no usable model.
+    fractions; the solver steps are the package's own. alpha divides by the
+    per-program venue totals in either mode; the mode changes only the
+    reported totals. Raises RScoreError where the prefix has no usable model.
     """
     prefix = make_corpus(
         pubs=[(p.id, p.venue, p.year, list(p.authors)) for p in corpus.publications],
         refs=[(r.program_id, sorted(r.faculty)) for r in corpus.reference_programs[:size]],
         cands=[(r.program_id, sorted(r.faculty)) for r in corpus.candidate_programs],
     )
-    distinct = mode is VenueMode.DISTINCT_PAPER
-    oracle = oracle_counts(prefix, distinct)
-    venue_set, _, per_program_venue, per_venue, per_program = oracle
+    oracle = oracle_counts(prefix, mode is VenueMode.DISTINCT_PAPER)
+    venue_set, _, per_program_venue, _, per_program = oracle
     if not venue_set:
         raise EmptyVenueSetError("empty")
     references = [r.program_id for r in prefix.reference_programs]
+    column_totals = {
+        venue: sum(per_program_venue.get((pid, venue), Fraction(0)) for pid in references)
+        for venue in venue_set
+    }
     beta = np.zeros((size, len(venue_set)))
     alpha = np.zeros((len(venue_set), size))
     for w, pid in enumerate(references):
@@ -327,9 +336,7 @@ def _rebuilt_prefix(corpus, size, mode):
         for j, venue in enumerate(venue_set):
             count = per_program_venue.get((pid, venue), Fraction(0))
             beta[w, j] = float(count / per_program[pid])
-            alpha[j, w] = float(count / per_venue[venue])
-    if distinct:
-        alpha = alpha / alpha.sum(axis=1, keepdims=True)
+            alpha[j, w] = float(count / column_totals[venue])
     structure = TransitionStructure(alpha, beta, tuple(references), tuple(venue_set))
     p_prime = aggregate(structure)
     gamma = stationary_gth(p_prime)
@@ -372,7 +379,7 @@ def test_sweep_equals_prefix_rebuilds_from_oracle_counts(
             oracle, structure, scores = _rebuilt_prefix(corpus, size, mode)
         except RScoreError:
             with pytest.raises(AnalysisError, match=f"^reference-set size {size}: "):
-                stability_sweep(corpus, n_ref, mode)
+                stability_sweep(corpus, n_ref)
             return
         # the sweep's prefix step: a slice of the one count, then the model
         prefix = counts.reference_prefix(size)
@@ -389,7 +396,7 @@ def test_sweep_equals_prefix_rebuilds_from_oracle_counts(
         scored[size] = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
     try:
-        report = stability_sweep(corpus, n_ref, mode)
+        report = stability_sweep(corpus, n_ref)
     except AnalysisError as exc:
         # only an all-tied prefix ranking may fail after every model solved
         assert "comparison of sizes" in str(exc)
@@ -406,3 +413,45 @@ def test_sweep_equals_prefix_rebuilds_from_oracle_counts(
 def test_spearman_rejects_non_finite_scores(bad):
     with pytest.raises(AnalysisError, match="not finite"):
         spearman([("a", 1.0), ("b", bad), ("c", 0.0)], [("a", 1.0), ("b", 2.0), ("c", 0.0)])
+
+
+_IDS = st.sampled_from("abcdef")
+# Ties come from the small pool; st.floats() also draws nan and infinities.
+_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats()
+
+
+@st.composite
+def _ranking_pair(draw, scored):
+    """Two rankings of mostly the same ids, which may repeat; plain orders or,
+    always when ``scored``, (id, score) pairs."""
+    unique = st.lists(_IDS, min_size=2, max_size=7, unique=True)
+    ids = draw(st.one_of(unique, unique, unique, st.lists(_IDS, max_size=7)))
+
+    def one():
+        order = draw(st.permutations(ids))
+        if draw(st.integers(0, 4)) == 0:
+            order.append(draw(_IDS))
+        if not scored and draw(st.booleans()):
+            return order
+        return [(pid, draw(_FLOATS)) for pid in order]
+
+    return one(), one()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rankings=_ranking_pair(scored=False), graded=_ranking_pair(scored=True))
+def test_rank_correlations_end_in_range_or_analysis_error(rankings, graded):
+    # ids repeat and floats tie or are not finite; nothing may hang or escape
+    try:
+        rho = spearman(*rankings)
+    except AnalysisError:
+        pass
+    else:
+        assert -1.0 <= rho <= 1.0
+    scores, grades = graded
+    report = _report([(pid, raw, raw, 1) for pid, raw in scores])
+    try:
+        comparison = compare_rankings(report, grades)
+    except AnalysisError:
+        return
+    assert comparison.rho is None or -1.0 <= comparison.rho <= 1.0

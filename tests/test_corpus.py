@@ -17,7 +17,7 @@ from rscore import (
     serialize_rosters,
 )
 
-from helpers import OracleReject, make_corpus, oracle_publications
+from helpers import OracleReject, make_corpus, oracle_publications, random_corpus
 
 
 def _pub_line(pid, venue="v1", year=2010, authors=("a1",), **extra):
@@ -493,3 +493,39 @@ def test_parse_arbitrary_text_gives_corpus_or_corpus_error(publications, rosters
         ids += [pub.id, pub.venue, *pub.authors]
     for value in ids:
         value.encode()  # valid Unicode: every id can be printed as UTF-8
+
+
+# Any valid Unicode text: quotes, escapes, controls and line separators too.
+_ID_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    marks=st.lists(_ID_TEXT, min_size=4, max_size=4),
+    window=st.sampled_from([None, (2005, 2011)]),
+)
+def test_serialize_then_parse_is_identity(seed, marks, window):
+    # Each kind of id gets its own text, wrapped in non-ASCII letters that
+    # trimming leaves alone; the suffix keeps distinct ids distinct.
+    pub, venue, author, program = (f"\u00e9{mark}\u4e2d" for mark in marks)
+    base = random_corpus(np.random.default_rng(seed), n_papers=30)
+    corpus = make_corpus(
+        pubs=[
+            (p.id + pub, p.venue + venue, p.year, [a + author for a in p.authors])
+            for p in base.publications
+        ],
+        refs=[
+            (r.program_id + program, [a + author for a in sorted(r.faculty)])
+            for r in base.reference_programs
+        ],
+        cands=[
+            (r.program_id + program, [a + author for a in sorted(r.faculty)])
+            for r in base.candidate_programs
+        ],
+        window=window,
+    )
+    reparsed = parse_corpus(
+        serialize_publications(corpus), serialize_rosters(corpus), window
+    )
+    assert reparsed == corpus

@@ -13,36 +13,28 @@ from rscore import (
     CountsError,
     VenueMode,
     build_counts,
-    program_venue_count,
     serialize_publications,
     serialize_rosters,
-    weighted_faculty_count,
 )
 from rscore.cli import run
 
 from helpers import make_corpus, oracle_counts, random_corpus
 
 
-def test_walkthrough_faculty_weights(walkthrough_corpus):
+def test_walkthrough_faculty_weights(walkthrough_counts):
     # three papers in 'alpha', the last shared with one same-program co-author
-    assert weighted_faculty_count(
-        walkthrough_corpus, "north", "n.adams", "alpha"
-    ) == Fraction(5, 2)
-    assert weighted_faculty_count(
-        walkthrough_corpus, "north", "n.clark", "beta"
-    ) == Fraction(3, 2)
-    assert weighted_faculty_count(
-        walkthrough_corpus, "north", "n.adams", "beta"
-    ) == Fraction(0)
+    assert walkthrough_counts.faculty_venue("north", "n.adams", "alpha") == Fraction(5, 2)
+    assert walkthrough_counts.faculty_venue("north", "n.clark", "beta") == Fraction(3, 2)
+    assert walkthrough_counts.faculty_venue("north", "n.adams", "beta") == Fraction(0)
 
 
-def test_walkthrough_program_venue_counts(walkthrough_corpus):
-    assert program_venue_count(walkthrough_corpus, "north", "alpha") == 3
-    assert program_venue_count(walkthrough_corpus, "north", "beta") == 2
-    assert program_venue_count(walkthrough_corpus, "south", "beta") == 4
-    assert program_venue_count(walkthrough_corpus, "south", "gamma") == 2
+def test_walkthrough_program_venue_counts(walkthrough_counts):
+    assert walkthrough_counts.program_venue("north", "alpha") == 3
+    assert walkthrough_counts.program_venue("north", "beta") == 2
+    assert walkthrough_counts.program_venue("south", "beta") == 4
+    assert walkthrough_counts.program_venue("south", "gamma") == 2
     # programs never publishing in a venue count zero there
-    assert program_venue_count(walkthrough_corpus, "west", "alpha") == 0
+    assert walkthrough_counts.program_venue("west", "alpha") == 0
 
 
 def test_program_without_reference_venue_papers_totals_zero():
@@ -92,7 +84,7 @@ def test_external_coauthors_do_not_dilute():
     corpus = make_corpus(
         pubs=[("p1", "v1", 2010, ["a1", "ext.x", "ext.y"])], refs=[("r1", ["a1"])]
     )
-    assert weighted_faculty_count(corpus, "r1", "a1", "v1") == 1
+    assert build_counts(corpus).faculty_venue("r1", "a1", "v1") == 1
 
 
 def test_program_total_is_sum_over_venues(walkthrough_counts):
@@ -104,11 +96,11 @@ def test_program_total_is_sum_over_venues(walkthrough_counts):
         assert summed == walkthrough_counts.program_total(program)
 
 
-def test_lookup_errors(walkthrough_corpus, walkthrough_counts):
+def test_lookup_errors(walkthrough_counts):
     with pytest.raises(CountsError, match="not in the roster"):
-        weighted_faculty_count(walkthrough_corpus, "north", "s.diaz", "alpha")
+        walkthrough_counts.faculty_venue("north", "s.diaz", "alpha")
     with pytest.raises(CountsError, match="not in the reference venue set"):
-        weighted_faculty_count(walkthrough_corpus, "north", "n.adams", "nowhere")
+        walkthrough_counts.faculty_venue("north", "n.adams", "nowhere")
     with pytest.raises(CountsError, match="unknown program"):
         walkthrough_counts.program_total("nowhere")
     with pytest.raises(CountsError, match="not in the reference venue set"):

@@ -9,12 +9,9 @@ from rscore import (
     Corpus,
     CountsError,
     PublicationRecord,
-    ScoreReport,
-    ScoreRow,
     ScoringError,
     build_counts,
     build_reputation_model,
-    per_faculty_view,
     raw_score,
     score_programs,
 )
@@ -60,7 +57,6 @@ def test_walkthrough_normalized_scores(walkthrough_model, walkthrough_counts):
     assert [row.program_id for row in report.rows] == ["east", "west"]
     assert (by_id["east"].rank_total, by_id["west"].rank_total) == (1, 2)
     assert not report.zero_scores
-    assert report.model_digest == walkthrough_model.digest
 
 
 def test_all_zero_candidates_flagged(walkthrough_corpus):
@@ -102,17 +98,27 @@ def test_empty_and_duplicate_requests_rejected(walkthrough_model, walkthrough_co
         score_programs(walkthrough_model, walkthrough_counts, ["nowhere"])
 
 
-def test_per_faculty_view_recomputes_only_per_faculty_fields():
-    rows = (
-        ScoreRow("big", 10, 10.0, 1.0, 0.0, 1, 9),
-        ScoreRow("small", 3, 6.0, 0.6, 0.0, 2, 9),
-    )
-    report = per_faculty_view(ScoreReport(rows=rows, model_digest="x"))
+def _one_venue_scores(candidates):
+    """Score candidates, given as (id, faculty, papers), on a corpus with one
+    venue: its reputation is 1, so each raw score is the paper count."""
+    pubs = [("r.paper", "v1", 2010, ["r.m"])]
+    cands = []
+    for pid, faculty, papers in candidates:
+        members = [f"{pid}.m{i}" for i in range(faculty)]
+        cands.append((pid, members))
+        pubs += [(f"{pid}.p{i}", "v1", 2010, [members[0]]) for i in range(papers)]
+    corpus = make_corpus(pubs, refs=[("r", ["r.m"])], cands=cands)
+    model, counts = _model_and_counts(corpus)
+    return score_programs(model, counts, [pid for pid, _, _ in candidates])
+
+
+def test_per_faculty_scores_and_ranks_divide_by_roster_size():
+    report = _one_venue_scores([("big", 10, 10), ("small", 3, 6)])
     by_id = {row.program_id: row for row in report.rows}
     assert by_id["big"].r_score_per_faculty == pytest.approx(0.5, abs=1e-12)
     assert by_id["small"].r_score_per_faculty == 1.0
     assert (by_id["big"].rank_per_faculty, by_id["small"].rank_per_faculty) == (2, 1)
-    # row order and total-score fields untouched
+    # total scores still order the rows and give the total ranks
     assert [row.program_id for row in report.rows] == ["big", "small"]
     assert [row.r_score for row in report.rows] == [1.0, 0.6]
     assert [row.rank_total for row in report.rows] == [1, 2]
@@ -126,9 +132,7 @@ def test_per_faculty_equal_sizes_match_total_ranking(walkthrough_model, walkthro
 
 
 def test_per_faculty_single_program():
-    report = per_faculty_view(
-        ScoreReport(rows=(ScoreRow("only", 4, 8.0, 1.0, 0.0, 1, 1),), model_digest="x")
-    )
+    report = _one_venue_scores([("only", 4, 8)])
     assert report.rows[0].r_score_per_faculty == 1.0
 
 
