@@ -3,7 +3,10 @@
 The stability sweep re-solves the model for growing prefixes of the reference
 set and measures how much the candidate ranking moves, using Spearman's rank
 correlation between consecutive prefix sizes and between the smallest and
-largest. The corpus is counted once; each prefix is a slice of that count.
+largest. The corpus is counted once. Each prefix solves the model from a
+slice of the reference rows of that count, over the prefix's own venues, and
+scores the candidates from one venues x candidates block taken up front; no
+prefix builds a table of its own.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ import math
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
+import numpy as np
+
 from .corpus import Corpus
 from .counts import build_counts
 from .errors import AnalysisError, DegenerateRankingError, RScoreError
-from .reputation import build_reputation_model
-from .scoring import ScoreReport, score_programs
+from .reputation import _solve, _transition_blocks
+from .scoring import ScoreReport, _raw_scores
 
 Ranking = Sequence[str] | Sequence[tuple[str, float]]
 
@@ -38,6 +43,8 @@ def _rank_map(ranking: Ranking) -> dict[str, float]:
             raise AnalysisError("ranking contains duplicate ids")
         return {pid: float(position) for position, pid in enumerate(ids, start=1)}
 
+    if any(not isinstance(entry, tuple) or len(entry) != 2 for entry in ranking):
+        raise AnalysisError("mixed ranking entries")
     pairs = [(str(pid), float(score)) for pid, score in ranking]
     if len({pid for pid, _ in pairs}) != len(pairs):
         raise AnalysisError("ranking contains duplicate ids")
@@ -119,12 +126,20 @@ def stability_sweep(corpus: Corpus, k: int) -> StabilityReport:
     size = 1
     try:
         counts = build_counts(corpus)
+        programs = counts.reference_programs
+        reference = counts.matrix[: len(programs)]
+        # venues x candidates, so each prefix gathers whole rows of it
+        block = np.ascontiguousarray(counts.matrix[len(programs) :].T, dtype=np.float64)
+        prefixes = counts._prefix_columns(k)
         for size in range(1, k + 1):
-            prefix = counts.reference_prefix(size)
-            model = build_reputation_model(prefix)
-            report = score_programs(model, prefix, candidates)
-            scored[size] = [(row.program_id, row.raw_score) for row in report.rows]
-            rankings[size] = tuple(row.program_id for row in report.rows)
+            columns = next(prefixes)
+            alpha, beta = _transition_blocks(reference[:size, columns], programs[:size])
+            _, _, nu = _solve(alpha, beta)
+            raws = _raw_scores(block, columns, nu).tolist()
+            scored[size] = sorted(
+                zip(candidates, raws), key=lambda item: (-item[1], item[0])
+            )
+            rankings[size] = tuple(pid for pid, _ in scored[size])
     except RScoreError as exc:
         raise AnalysisError(f"reference-set size {size}: {exc}") from exc
 

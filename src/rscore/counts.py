@@ -11,7 +11,7 @@ per-faculty table, which is built from the corpus when it is first read.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -235,9 +235,9 @@ class CountsTable:
         publishes in, in the same order. Nothing is recounted.
         """
         n_ref = len(self.reference_programs)
-        columns = np.flatnonzero(self.matrix[:size].any(axis=0))
-        if columns.size == 0:
-            raise EmptyVenueSetError(EMPTY_VENUE_SET)
+        if not 1 <= size <= n_ref:
+            raise CountsError(f"prefix size must be in 1..{n_ref}, got {size}")
+        *_, columns = self._prefix_columns(size)
         rows = np.r_[0:size, n_ref : len(self.matrix)]
         reference = self.reference_programs[:size]
         return CountsTable(
@@ -252,6 +252,21 @@ class CountsTable:
             corpus=self.corpus,
             venue_mode=self.venue_mode,
         )
+
+    def _prefix_columns(self, k: int) -> Iterator[np.ndarray]:
+        """The venue columns of the reference prefixes of size 1 to ``k``.
+
+        A prefix's venue set is the venues its programs publish in, in table
+        order, so each prefix adds its last program's venues to the set
+        before it.
+        """
+        seen = np.zeros(len(self.venue_index), dtype=bool)
+        for row in self.matrix[:k]:
+            seen |= row > 0
+            columns = np.flatnonzero(seen)
+            if columns.size == 0:
+                raise EmptyVenueSetError(EMPTY_VENUE_SET)
+            yield columns
 
 
 def build_counts(

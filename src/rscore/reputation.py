@@ -12,6 +12,7 @@ reputations follow by one more transition step.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,22 +68,38 @@ class ReputationModel:
 def build_transitions(counts: CountsTable) -> TransitionStructure:
     """Build the alpha and beta blocks from a counts table.
 
-    beta is the reference rows of the count matrix over their row sums and
-    alpha the same rows over their column sums, transposed. Counts and sums
-    are integers below 2**53, so each entry is the correctly rounded
-    quotient. The table's venue mode only changes its reported venue totals,
-    which are not read here.
+    The table's venue mode only changes its reported venue totals, which are
+    not read here.
+    """
+    programs = counts.reference_programs
+    alpha, beta = _transition_blocks(counts.matrix[: len(programs)], programs)
+    return TransitionStructure(
+        alpha=alpha,
+        beta=beta,
+        program_index=tuple(programs),
+        venue_index=tuple(counts.venue_index),
+    )
+
+
+def _transition_blocks(
+    reference: np.ndarray, programs: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and beta of an integer reference programs x venues block.
+
+    beta is the block over its row sums and alpha the block over its column
+    sums, transposed. Counts and sums are integers below 2**53, so each
+    entry is the correctly rounded quotient.
 
     Every reference program must have at least one paper in the venue set,
     otherwise its outgoing row would be undefined.
     """
-    programs = counts.reference_programs
-    venues = counts.venue_index
-    t = len(programs)
-    if t == 0:
+    if len(programs) == 0:
         raise ModelError("no reference programs")
-
-    reference = counts.matrix[:t]
+    # The blocks inherit the layout of the counts, and a matrix product
+    # over a Fortran-ordered beta adds in another order and changes the
+    # last bits of the model; a C-ordered block makes the bits independent
+    # of how the caller's matrix is laid out.
+    reference = np.ascontiguousarray(reference)
     totals = reference.sum(axis=1)
     idle = np.flatnonzero(totals == 0)
     if idle.size:
@@ -100,15 +117,16 @@ def build_transitions(counts: CountsTable) -> TransitionStructure:
     venue_sums = alpha.sum(axis=1)
     if np.max(np.abs(venue_sums - 1.0)) > ROW_SUM_TOL:
         raise ModelError("venue transition rows do not sum to 1")
-
-    return TransitionStructure(
-        alpha=alpha, beta=beta, program_index=tuple(programs), venue_index=tuple(venues)
-    )
+    return alpha, beta
 
 
 def aggregate(structure: TransitionStructure) -> np.ndarray:
     """Collapse the bipartite chain to its program-to-program matrix."""
-    p_prime = structure.beta @ structure.alpha
+    return _aggregate(structure.alpha, structure.beta)
+
+
+def _aggregate(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    p_prime = beta @ alpha
     row_sums = p_prime.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > AGGREGATE_TOL:
         raise ModelError("aggregated matrix is not row-stochastic")
@@ -164,7 +182,7 @@ def stationary_gth(p: np.ndarray) -> np.ndarray:
             # unreachable after the irreducibility check; kept as a guard
             raise ModelError(f"zero pivot while eliminating state {k}")
         a[k + 1 :, k] /= pivot
-        a[k + 1 :, k + 1 :] += np.outer(a[k + 1 :, k], a[k, k + 1 :])
+        a[k + 1 :, k + 1 :] += a[k + 1 :, k, None] * a[k, k + 1 :]
 
     x = np.zeros(n)
     x[n - 1] = 1.0
@@ -176,7 +194,11 @@ def stationary_gth(p: np.ndarray) -> np.ndarray:
 def venue_reputation(structure: TransitionStructure, gamma: np.ndarray) -> np.ndarray:
     """One transition step from program reputations to venue reputations,
     scaled so the top venue is exactly 1."""
-    nu = np.asarray(gamma, dtype=np.float64) @ structure.beta
+    return _venue_step(structure.beta, gamma)
+
+
+def _venue_step(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    nu = np.asarray(gamma, dtype=np.float64) @ beta
     top = nu.max()
     if top <= 0.0:
         raise ModelError("venue reputations are all zero")
@@ -186,10 +208,18 @@ def venue_reputation(structure: TransitionStructure, gamma: np.ndarray) -> np.nd
 def build_reputation_model(counts: CountsTable) -> ReputationModel:
     """Build, solve, and verify the full reputation model for a counts table."""
     structure = build_transitions(counts)
-    p_prime = aggregate(structure)
+    p_prime, gamma, nu = _solve(structure.alpha, structure.beta)
+    return ReputationModel(structure=structure, p_prime=p_prime, gamma=gamma, nu=nu)
+
+
+def _solve(
+    alpha: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aggregate, solve and verify, then step to the venues: p_prime, gamma
+    and nu of the chain with blocks alpha and beta."""
+    p_prime = _aggregate(alpha, beta)
     gamma = stationary_gth(p_prime)
     residual = np.max(np.abs(gamma @ p_prime - gamma))
     if residual > RESIDUAL_TOL:
         raise ModelError(f"stationary solve residual {residual:.3e} exceeds tolerance")
-    nu = venue_reputation(structure, gamma)
-    return ReputationModel(structure=structure, p_prime=p_prime, gamma=gamma, nu=nu)
+    return p_prime, gamma, _venue_step(beta, gamma)

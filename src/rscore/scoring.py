@@ -41,18 +41,40 @@ class ScoreReport:
     zero_scores: bool = False
 
 
-def _raw_scores(
+# Venues are scored a chunk at a time. A chunk holds at most this many
+# products (64 KB of float64), so no temporary grows with the number of
+# venues or programs.
+_CHUNK_CELLS = 1 << 13
+
+
+def _raw_scores(block: np.ndarray, columns: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Each program's total of ``block[columns[j], program] * nu[j]`` over j.
+
+    ``block`` is venues x programs. The products are added one venue at a
+    time, left to right, as a per-program loop over venues would add them:
+    ``np.add.accumulate`` runs sequentially along its axis, where a matrix
+    product or ``sum`` may reorder the sum and change the last bits. Each
+    chunk of venues starts from the running total of the chunks before it.
+    """
+    totals = np.zeros(block.shape[1])
+    step = max(1, _CHUNK_CELLS // block.shape[1])
+    for start in range(0, len(columns), step):
+        products = block[columns[start : start + step]] * nu[start : start + step, None]
+        products[0] += totals
+        totals = np.add.accumulate(products, axis=0, out=products)[-1]
+    return totals
+
+
+def _program_scores(
     model: ReputationModel, counts: CountsTable, program_ids: list[str]
 ) -> list[float]:
-    rows = np.array([counts.row(pid) for pid in program_ids], dtype=np.intp)
-    columns = [counts.column(venue) for venue in model.structure.venue_index]
-    # One column at a time, left to right, as a per-program loop over venues
-    # would add them: a matrix product may reorder the sum and change the
-    # last bits, and this allocates no programs x venues temporary.
-    totals = np.zeros(len(rows))
-    for j, weight in zip(columns, model.nu):
-        totals += counts.matrix[rows, j] * weight
-    return totals.tolist()
+    rows = [counts.row(pid) for pid in program_ids]
+    columns = np.array(
+        [counts.column(venue) for venue in model.structure.venue_index], dtype=np.intp
+    )
+    # Scoring every program of the table reads the matrix through a view;
+    # gathering the requested rows first would copy them, all venues wide.
+    return _raw_scores(counts.matrix.T, columns, model.nu)[rows].tolist()
 
 
 def raw_score(model: ReputationModel, counts: CountsTable, program_id: str) -> float:
@@ -61,7 +83,7 @@ def raw_score(model: ReputationModel, counts: CountsTable, program_id: str) -> f
     Venues outside the reference venue set contribute nothing, because the
     counts table only covers that set.
     """
-    return _raw_scores(model, counts, [program_id])[0]
+    return _program_scores(model, counts, [program_id])[0]
 
 
 def _competition_ranks(values: list[float]) -> list[int]:
@@ -84,7 +106,7 @@ def score_programs(
     if len(set(program_ids)) != len(program_ids):
         raise ScoringError("duplicate program id in scoring request")
 
-    raws = dict(zip(program_ids, _raw_scores(model, counts, program_ids)))
+    raws = dict(zip(program_ids, _program_scores(model, counts, program_ids)))
     sizes = {pid: counts.roster_sizes[pid] for pid in program_ids}
     per_faculty = {pid: raws[pid] / sizes[pid] for pid in program_ids}
 

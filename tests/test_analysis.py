@@ -114,6 +114,14 @@ def test_spearman_rejects_bad_inputs():
         spearman([("a", 1.0), ("b", 1.0)], [("a", 2.0), ("b", 1.0)])
 
 
+@pytest.mark.parametrize("mixed", [[("a", 1.0), "bc"], [("a", 1.0), "b"]])
+def test_spearman_rejects_plain_entries_among_pairs(mixed):
+    pairs = [("a", 1.0), ("b", 2.0)]
+    for args in ((mixed, pairs), (pairs, mixed)):
+        with pytest.raises(AnalysisError, match="^mixed ranking entries$"):
+            spearman(*args)
+
+
 def test_spearman_values_stay_in_range():
     rng = np.random.default_rng(8)
     ids = [f"p{i}" for i in range(6)]
@@ -243,6 +251,28 @@ def test_sweep_matches_independent_recomputation():
             [oracle_scores[j][pid] for pid in candidate_ids],
         ).statistic
         assert rho == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["k=1", "k=n_ref"])
+def test_sweep_counts_once_and_builds_one_table(whole, monkeypatch):
+    # prefixes are views of the one count: no recount and no table per prefix
+    import rscore.analysis
+    from rscore import CountsTable
+
+    corpus = random_corpus(np.random.default_rng(557), n_ref=5, hub=True)
+    counted, tables = [], []
+    build = rscore.analysis.build_counts
+    monkeypatch.setattr(
+        rscore.analysis, "build_counts",
+        lambda *args, **kwargs: counted.append(1) or build(*args, **kwargs),
+    )
+    post_init = CountsTable.__post_init__
+    monkeypatch.setattr(
+        CountsTable, "__post_init__", lambda table: tables.append(1) or post_init(table)
+    )
+    stability_sweep(corpus, len(corpus.reference_programs) if whole else 1)
+    assert counted == [1]
+    assert tables == [1]
 
 
 def test_sweep_venue_mode_passthrough():
@@ -423,7 +453,8 @@ _FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats()
 @st.composite
 def _ranking_pair(draw, scored):
     """Two rankings of mostly the same ids, which may repeat; plain orders or,
-    always when ``scored``, (id, score) pairs."""
+    always when ``scored``, (id, score) pairs. Unless ``scored``, a ranking
+    may mix the two kinds of entry."""
     unique = st.lists(_IDS, min_size=2, max_size=7, unique=True)
     ids = draw(st.one_of(unique, unique, unique, st.lists(_IDS, max_size=7)))
 
@@ -431,9 +462,17 @@ def _ranking_pair(draw, scored):
         order = draw(st.permutations(ids))
         if draw(st.integers(0, 4)) == 0:
             order.append(draw(_IDS))
-        if not scored and draw(st.booleans()):
-            return order
-        return [(pid, draw(_FLOATS)) for pid in order]
+        plain = not scored and draw(st.booleans())
+        entries = order if plain else [(pid, draw(_FLOATS)) for pid in order]
+        if not scored and entries and draw(st.integers(0, 4)) == 0:
+            # one entry of the other kind: a pair among ids, or an id or a
+            # two-letter string among pairs
+            if plain:
+                other = (draw(_IDS), draw(_FLOATS))
+            else:
+                other = draw(_IDS | _IDS.map(lambda pid: pid * 2))
+            entries[draw(st.integers(0, len(entries) - 1))] = other
+        return entries
 
     return one(), one()
 

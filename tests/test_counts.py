@@ -277,6 +277,12 @@ def test_count_arrays_are_read_only(walkthrough_corpus):
             table.first_reference[0, 0] = 7
 
 
+@pytest.mark.parametrize("size", [0, 3])
+def test_reference_prefix_size_is_checked(walkthrough_counts, size):
+    with pytest.raises(CountsError, match=rf"^prefix size must be in 1\.\.2, got {size}$"):
+        walkthrough_counts.reference_prefix(size)
+
+
 def test_faculty_weight_stays_exact_past_int64(tmp_path, capsys):
     # m00 writes one paper with d authors from its roster for each prime d;
     # the weight's denominator, the lcm of the d, does not fit in int64.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -257,6 +258,21 @@ def test_distinct_mode_renormalization_reproduces_share_matrix():
         left = getattr(distinct.structure, name)
         assert left.tobytes() == getattr(per_program.structure, name).tobytes()
     assert distinct.nu.tobytes() == per_program.nu.tobytes()
+
+
+def test_model_bits_do_not_depend_on_matrix_layout():
+    counts = build_counts(
+        random_corpus(
+            np.random.default_rng(0), n_ref=12, n_cand=3, n_venues=60, n_papers=600,
+            hub=True,
+        )
+    )
+    fortran = dataclasses.replace(counts, matrix=np.asfortranarray(counts.matrix))
+    assert not fortran.matrix.flags.c_contiguous
+    expected = build_reputation_model(counts)
+    model = build_reputation_model(fortran)
+    assert model.nu.tobytes() == expected.nu.tobytes()
+    assert model.digest == expected.digest
 
 
 def test_transitions_require_reference_programs():

@@ -15,7 +15,7 @@ from rscore import (
     raw_score,
     score_programs,
 )
-from rscore.scoring import _competition_ranks
+from rscore.scoring import _competition_ranks, _raw_scores
 
 from helpers import make_corpus, random_corpus
 
@@ -239,6 +239,35 @@ def test_r_score_order_matches_raw_order():
     assert raws == sorted(raws, reverse=True)
     assert rs == sorted(rs, reverse=True)
     assert max(rs) == 1.0
+
+
+def test_scores_add_venues_left_to_right():
+    # One reference program and one candidate over 320 venues: nu is the
+    # reference's counts over its largest, and the candidate's products sum
+    # to other last bits when added pairwise, as a reduction or a matrix
+    # product may add them.
+    rng = np.random.default_rng(1)
+    pubs = []
+    for j in range(320):
+        venue = f"v{j:03d}"
+        pubs += [(f"r{j}.{i}", venue, 2010, ["r.a"]) for i in range(rng.integers(1, 12))]
+        pubs += [(f"c{j}.{i}", venue, 2010, ["c.a"]) for i in range(rng.integers(1, 12))]
+    corpus = make_corpus(pubs, refs=[("ref", ["r.a"])], cands=[("cand", ["c.a"])])
+    model, counts = _model_and_counts(corpus)
+    products = [
+        counts.program_venue("cand", venue) * weight
+        for venue, weight in zip(model.structure.venue_index, model.nu.tolist())
+    ]
+    expected = 0.0
+    for product in products:
+        expected += product
+    assert float(np.sum(np.array(products))) != expected
+
+    assert raw_score(model, counts, "cand") == expected
+    # the stability sweep's shape: a venues x candidates block, one candidate
+    block = np.ascontiguousarray(counts.matrix[1:].T, dtype=np.float64)
+    columns = np.arange(len(model.nu))
+    assert _raw_scores(block, columns, model.nu).tolist() == [expected]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
