@@ -42,16 +42,8 @@ from .errors import (
     RScoreError,
     ScoringError,
 )
-from .reputation import (
-    ReputationModel,
-    TransitionStructure,
-    aggregate,
-    build_reputation_model,
-    build_transitions,
-    stationary_gth,
-    venue_reputation,
-)
-from .scoring import ScoreReport, ScoreRow, raw_score, score_programs
+from .reputation import ReputationModel, build_reputation_model, stationary_gth
+from .scoring import ScoreReport, ScoreRow, score_programs
 
 __version__ = "0.1.0"
 
@@ -76,15 +68,11 @@ __all__ = [
     "ScoreRow",
     "ScoringError",
     "StabilityReport",
-    "TransitionStructure",
     "VenueMode",
-    "aggregate",
     "build_counts",
     "build_reputation_model",
-    "build_transitions",
     "compare_rankings",
     "parse_corpus",
-    "raw_score",
     "reference_venue_set",
     "score_programs",
     "serialize_publications",
@@ -92,5 +80,4 @@ __all__ = [
     "spearman",
     "stability_sweep",
     "stationary_gth",
-    "venue_reputation",
 ]

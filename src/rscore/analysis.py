@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -73,8 +74,11 @@ def spearman(rank_a: Ranking, rank_b: Ranking) -> float:
     the two rank vectors, which reduces to 1 - 6*sum(d^2)/(n(n^2-1)) when
     tie-free.
     """
-    ranks_a = _rank_map(rank_a)
-    ranks_b = _rank_map(rank_b)
+    return _correlate_ranks(_rank_map(rank_a), _rank_map(rank_b))
+
+
+def _correlate_ranks(ranks_a: dict[str, float], ranks_b: dict[str, float]) -> float:
+    """Pearson correlation of two rank maps over the same ids."""
     if set(ranks_a) != set(ranks_b):
         raise AnalysisError("rankings do not cover the same program set")
     n = len(ranks_a)
@@ -120,7 +124,7 @@ def stability_sweep(corpus: Corpus, k: int) -> StabilityReport:
     if not candidates:
         raise AnalysisError("no candidate programs to rank")
 
-    scored: dict[int, list[tuple[str, float]]] = {}
+    ranks: dict[int, dict[str, float]] = {}
     rankings: dict[int, tuple[str, ...]] = {}
     # A corpus with no reference venue fails on its smallest prefix.
     size = 1
@@ -136,16 +140,15 @@ def stability_sweep(corpus: Corpus, k: int) -> StabilityReport:
             alpha, beta = _transition_blocks(reference[:size, columns], programs[:size])
             _, _, nu = _solve(alpha, beta)
             raws = _raw_scores(block, columns, nu).tolist()
-            scored[size] = sorted(
-                zip(candidates, raws), key=lambda item: (-item[1], item[0])
-            )
-            rankings[size] = tuple(pid for pid, _ in scored[size])
+            scored = sorted(zip(candidates, raws), key=lambda item: (-item[1], item[0]))
+            ranks[size] = _rank_map(scored)
+            rankings[size] = tuple(pid for pid, _ in scored)
     except RScoreError as exc:
         raise AnalysisError(f"reference-set size {size}: {exc}") from exc
 
     def correlate(i: int, j: int) -> float:
         try:
-            return spearman(scored[i], scored[j])
+            return _correlate_ranks(ranks[i], ranks[j])
         except DegenerateRankingError as exc:
             raise AnalysisError(
                 f"comparison of sizes {i} and {j}: {exc}"
@@ -192,10 +195,16 @@ def compare_rankings(
 
     Only programs present on both sides are compared. Higher grades rank
     better, mirroring the score direction; equal grades are tie-grouped with
-    average ranks.
+    average ranks. Each entry must be an (id, grade) tuple with a string id
+    and a finite real grade; anything else raises :class:`AnalysisError`.
     """
     grades = {}
-    for pid, grade in external:
+    for entry in external:
+        if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)):
+            raise AnalysisError(f"external grade entry {entry!r} is not an (id, grade) pair")
+        pid, grade = entry
+        if not (isinstance(grade, Real) and math.isfinite(grade)):
+            raise AnalysisError(f"grade of {pid!r} is not a finite number: {grade!r}")
         if pid in grades:
             raise AnalysisError(f"duplicate program id {pid!r} in external grades")
         grades[pid] = float(grade)

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .analysis import compare_rankings, stability_sweep
-from .corpus import Corpus, parse_corpus
+from .corpus import Corpus, parse_corpus, reference_venue_set
 from .counts import CountsTable, VenueMode, build_counts
 from .errors import AnalysisError, CorpusError, RScoreError
 from .reputation import ReputationModel, build_reputation_model
@@ -117,12 +117,11 @@ def _emit_json(payload: object) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
-    counts = build_counts(corpus, _VENUE_MODES[args.venue_mode])
     summary = {
         "publications": len(corpus.publications),
         "reference_programs": len(corpus.reference_programs),
         "candidate_programs": len(corpus.candidate_programs),
-        "venues": len(counts.venue_index),
+        "venues": len(reference_venue_set(corpus)),
         "dropped_outside_window": corpus.dropped_outside_window,
     }
     if args.json:
@@ -215,15 +214,12 @@ def _matrix_lines(name: str, array: np.ndarray) -> list[str]:
 
 def _cmd_venues(args: argparse.Namespace) -> int:
     _, _, model = _build_model(args)
-    structure = model.structure
-    ranked = sorted(
-        zip(structure.venue_index, model.nu), key=lambda item: (-item[1], item[0])
-    )
+    ranked = sorted(zip(model.venue_index, model.nu), key=lambda item: (-item[1], item[0]))
     if args.dump_matrices:
-        lines = ["# program_index", *structure.program_index]
-        lines += ["# venue_index", *structure.venue_index]
-        lines += _matrix_lines("alpha (venue x program)", structure.alpha)
-        lines += _matrix_lines("beta (program x venue)", structure.beta)
+        lines = ["# program_index", *model.program_index]
+        lines += ["# venue_index", *model.venue_index]
+        lines += _matrix_lines("alpha (venue x program)", model.alpha)
+        lines += _matrix_lines("beta (program x venue)", model.beta)
         lines += _matrix_lines("p_prime", model.p_prime)
         lines += _matrix_lines("gamma", model.gamma)
         lines += _matrix_lines("nu", model.nu)
@@ -292,8 +288,6 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _cmd_stability(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
     k = args.k if args.k is not None else len(corpus.reference_programs)
-    if k < 1:
-        raise AnalysisError(f"k must be >= 1, got {k}")
     report = stability_sweep(corpus, k)
     comparisons = list(report.adjacent) + [report.first_vs_last]
     if args.json:

@@ -115,12 +115,6 @@ def _check_structure(corpus: Corpus) -> None:
                 )
             author_home[author] = roster.program_id
 
-    reference_ids = {r.program_id for r in corpus.reference_programs}
-    candidate_ids = {r.program_id for r in corpus.candidate_programs}
-    overlap = reference_ids & candidate_ids
-    if overlap:
-        raise CorpusError(f"roster overlap: {sorted(overlap)}")
-
     seen_pubs: set[str] = set()
     for pub in corpus.publications:
         if not pub.id:

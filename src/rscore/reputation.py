@@ -28,26 +28,22 @@ RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class TransitionStructure:
-    """The two transition blocks plus the index orderings they use.
+class ReputationModel:
+    """A solved reputation model, immutable and safe for concurrent reads.
 
     ``alpha[j, w]`` is program ``w``'s share of venue ``j``'s papers;
     ``beta[w, j]`` is venue ``j``'s share of program ``w``'s papers. Rows of
     ``beta`` and of ``alpha`` sum to one. Both come from the per-program
     counts alone, so the counting mode of the table does not change them.
+    ``p_prime`` is the program-to-program matrix ``beta @ alpha``, ``gamma``
+    its stationary vector, and ``nu`` the venue reputations, one step on,
+    scaled so the top venue is exactly 1.
     """
 
-    alpha: np.ndarray
-    beta: np.ndarray
     program_index: tuple[str, ...]
     venue_index: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ReputationModel:
-    """A solved reputation model, immutable and safe for concurrent reads."""
-
-    structure: TransitionStructure
+    alpha: np.ndarray
+    beta: np.ndarray
     p_prime: np.ndarray
     gamma: np.ndarray
     nu: np.ndarray
@@ -56,28 +52,32 @@ class ReputationModel:
     def digest(self) -> str:
         """Deterministic fingerprint of the model inputs and solution."""
         hasher = hashlib.sha256()
-        hasher.update("\x1f".join(self.structure.program_index).encode())
+        hasher.update("\x1f".join(self.program_index).encode())
         hasher.update(b"\x1e")
-        hasher.update("\x1f".join(self.structure.venue_index).encode())
+        hasher.update("\x1f".join(self.venue_index).encode())
         hasher.update(b"\x1e")
-        for array in (self.structure.alpha, self.structure.beta, self.gamma, self.nu):
+        for array in (self.alpha, self.beta, self.gamma, self.nu):
             hasher.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
         return hasher.hexdigest()[:16]
 
 
-def build_transitions(counts: CountsTable) -> TransitionStructure:
-    """Build the alpha and beta blocks from a counts table.
+def build_reputation_model(counts: CountsTable) -> ReputationModel:
+    """Build, solve, and verify the full reputation model for a counts table.
 
     The table's venue mode only changes its reported venue totals, which are
     not read here.
     """
     programs = counts.reference_programs
     alpha, beta = _transition_blocks(counts.matrix[: len(programs)], programs)
-    return TransitionStructure(
-        alpha=alpha,
-        beta=beta,
+    p_prime, gamma, nu = _solve(alpha, beta)
+    return ReputationModel(
         program_index=tuple(programs),
         venue_index=tuple(counts.venue_index),
+        alpha=alpha,
+        beta=beta,
+        p_prime=p_prime,
+        gamma=gamma,
+        nu=nu,
     )
 
 
@@ -118,19 +118,6 @@ def _transition_blocks(
     if np.max(np.abs(venue_sums - 1.0)) > ROW_SUM_TOL:
         raise ModelError("venue transition rows do not sum to 1")
     return alpha, beta
-
-
-def aggregate(structure: TransitionStructure) -> np.ndarray:
-    """Collapse the bipartite chain to its program-to-program matrix."""
-    return _aggregate(structure.alpha, structure.beta)
-
-
-def _aggregate(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    p_prime = beta @ alpha
-    row_sums = p_prime.sum(axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > AGGREGATE_TOL:
-        raise ModelError("aggregated matrix is not row-stochastic")
-    return p_prime
 
 
 def _strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:
@@ -191,35 +178,21 @@ def stationary_gth(p: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
-def venue_reputation(structure: TransitionStructure, gamma: np.ndarray) -> np.ndarray:
-    """One transition step from program reputations to venue reputations,
-    scaled so the top venue is exactly 1."""
-    return _venue_step(structure.beta, gamma)
-
-
-def _venue_step(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    nu = np.asarray(gamma, dtype=np.float64) @ beta
-    top = nu.max()
-    if top <= 0.0:
-        raise ModelError("venue reputations are all zero")
-    return nu / top
-
-
-def build_reputation_model(counts: CountsTable) -> ReputationModel:
-    """Build, solve, and verify the full reputation model for a counts table."""
-    structure = build_transitions(counts)
-    p_prime, gamma, nu = _solve(structure.alpha, structure.beta)
-    return ReputationModel(structure=structure, p_prime=p_prime, gamma=gamma, nu=nu)
-
-
 def _solve(
     alpha: np.ndarray, beta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Aggregate, solve and verify, then step to the venues: p_prime, gamma
     and nu of the chain with blocks alpha and beta."""
-    p_prime = _aggregate(alpha, beta)
+    p_prime = beta @ alpha
+    row_sums = p_prime.sum(axis=1)
+    if np.max(np.abs(row_sums - 1.0)) > AGGREGATE_TOL:
+        raise ModelError("aggregated matrix is not row-stochastic")
     gamma = stationary_gth(p_prime)
     residual = np.max(np.abs(gamma @ p_prime - gamma))
     if residual > RESIDUAL_TOL:
         raise ModelError(f"stationary solve residual {residual:.3e} exceeds tolerance")
-    return p_prime, gamma, _venue_step(beta, gamma)
+    nu = gamma @ beta
+    top = nu.max()
+    if top <= 0.0:
+        raise ModelError("venue reputations are all zero")
+    return p_prime, gamma, nu / top

@@ -65,27 +65,6 @@ def _raw_scores(block: np.ndarray, columns: np.ndarray, nu: np.ndarray) -> np.nd
     return totals
 
 
-def _program_scores(
-    model: ReputationModel, counts: CountsTable, program_ids: list[str]
-) -> list[float]:
-    rows = [counts.row(pid) for pid in program_ids]
-    columns = np.array(
-        [counts.column(venue) for venue in model.structure.venue_index], dtype=np.intp
-    )
-    # Scoring every program of the table reads the matrix through a view;
-    # gathering the requested rows first would copy them, all venues wide.
-    return _raw_scores(counts.matrix.T, columns, model.nu)[rows].tolist()
-
-
-def raw_score(model: ReputationModel, counts: CountsTable, program_id: str) -> float:
-    """Venue-reputation-weighted publication total for one program.
-
-    Venues outside the reference venue set contribute nothing, because the
-    counts table only covers that set.
-    """
-    return _program_scores(model, counts, [program_id])[0]
-
-
 def _competition_ranks(values: list[float]) -> list[int]:
     # 1-based; ties share the smaller rank and the next rank skips: one plus
     # the number of strictly larger values.
@@ -106,7 +85,12 @@ def score_programs(
     if len(set(program_ids)) != len(program_ids):
         raise ScoringError("duplicate program id in scoring request")
 
-    raws = dict(zip(program_ids, _program_scores(model, counts, program_ids)))
+    table_rows = [counts.row(pid) for pid in program_ids]
+    columns = np.array([counts.column(venue) for venue in model.venue_index], dtype=np.intp)
+    # Scoring every program of the table reads the matrix through a view;
+    # gathering the requested rows first would copy them, all venues wide.
+    totals = _raw_scores(counts.matrix.T, columns, model.nu)[table_rows]
+    raws = dict(zip(program_ids, totals.tolist()))
     sizes = {pid: counts.roster_sizes[pid] for pid in program_ids}
     per_faculty = {pid: raws[pid] / sizes[pid] for pid in program_ids}
 

@@ -17,9 +17,7 @@ from rscore import (
     RScoreError,
     ScoreReport,
     ScoreRow,
-    TransitionStructure,
     VenueMode,
-    aggregate,
     build_counts,
     build_reputation_model,
     compare_rankings,
@@ -27,7 +25,6 @@ from rscore import (
     spearman,
     stability_sweep,
     stationary_gth,
-    venue_reputation,
 )
 
 from helpers import make_corpus, oracle_counts, power_iteration, random_corpus
@@ -255,12 +252,13 @@ def test_sweep_matches_independent_recomputation():
 
 @pytest.mark.parametrize("whole", [False, True], ids=["k=1", "k=n_ref"])
 def test_sweep_counts_once_and_builds_one_table(whole, monkeypatch):
-    # prefixes are views of the one count: no recount and no table per prefix
+    # prefixes are views of the one count: no recount and no table per
+    # prefix; and each prefix is ranked once, not once per comparison
     import rscore.analysis
     from rscore import CountsTable
 
     corpus = random_corpus(np.random.default_rng(557), n_ref=5, hub=True)
-    counted, tables = [], []
+    counted, tables, ranked = [], [], []
     build = rscore.analysis.build_counts
     monkeypatch.setattr(
         rscore.analysis, "build_counts",
@@ -270,9 +268,15 @@ def test_sweep_counts_once_and_builds_one_table(whole, monkeypatch):
     monkeypatch.setattr(
         CountsTable, "__post_init__", lambda table: tables.append(1) or post_init(table)
     )
-    stability_sweep(corpus, len(corpus.reference_programs) if whole else 1)
+    rank_map = rscore.analysis._rank_map
+    monkeypatch.setattr(
+        rscore.analysis, "_rank_map", lambda ranking: ranked.append(1) or rank_map(ranking)
+    )
+    k = len(corpus.reference_programs) if whole else 1
+    stability_sweep(corpus, k)
     assert counted == [1]
     assert tables == [1]
+    assert len(ranked) == k
 
 
 def test_sweep_venue_mode_passthrough():
@@ -327,6 +331,31 @@ def test_compare_duplicate_grades_entry_rejected():
         compare_rankings(report, [("a", 7), ("a", 6)])
 
 
+@pytest.mark.parametrize(
+    "grades, message",
+    [
+        ([("a", 1.0), "bc"], "not an \\(id, grade\\) pair"),
+        ([("a", 1.0), "b"], "not an \\(id, grade\\) pair"),
+        ([("a", 1.0), ("b", "x")], "grade of 'b' is not a finite number: 'x'"),
+        ([("a", 1.0), ("b", None)], "grade of 'b' is not a finite number: None"),
+        ([("a", 1.0), (["b"], 2.0)], "not an \\(id, grade\\) pair"),
+    ],
+    ids=["two-letter-string", "one-letter-string", "string-grade", "none-grade", "list-id"],
+)
+def test_compare_malformed_grade_entries_rejected(grades, message):
+    report = _report([("a", 3.0, 1.0, 1), ("b", 2.0, 0.66, 2)])
+    with pytest.raises(AnalysisError, match=message):
+        compare_rankings(report, grades)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_compare_rejects_non_finite_grade_of_single_shared_program(bad):
+    # one shared program is never correlated, so the grade is checked on entry
+    report = _report([("a", 3.0, 1.0, 1)])
+    with pytest.raises(AnalysisError, match="grade of 'a' is not a finite number"):
+        compare_rankings(report, [("a", bad)])
+
+
 def test_compare_end_to_end(walkthrough_corpus):
     counts = build_counts(walkthrough_corpus)
     model = build_reputation_model(counts)
@@ -340,7 +369,9 @@ def _rebuilt_prefix(corpus, size, mode):
     prefix corpus, rebuilt from scratch.
 
     Counts come from the brute-force oracle and the blocks from its exact
-    fractions; the solver steps are the package's own. alpha divides by the
+    fractions. The aggregate ``beta @ alpha`` and the venue step
+    ``(gamma @ beta) / max`` are taken here, with the package's tolerances;
+    only the GTH solve is the package's own. alpha divides by the
     per-program venue totals in either mode; the mode changes only the
     reported totals. Raises RScoreError where the prefix has no usable model.
     """
@@ -367,12 +398,16 @@ def _rebuilt_prefix(corpus, size, mode):
             count = per_program_venue.get((pid, venue), Fraction(0))
             beta[w, j] = float(count / per_program[pid])
             alpha[j, w] = float(count / column_totals[venue])
-    structure = TransitionStructure(alpha, beta, tuple(references), tuple(venue_set))
-    p_prime = aggregate(structure)
+    p_prime = beta @ alpha
+    if np.max(np.abs(p_prime.sum(axis=1) - 1.0)) > 1e-10:
+        raise ModelError("aggregate")
     gamma = stationary_gth(p_prime)
     if np.max(np.abs(gamma @ p_prime - gamma)) > 1e-10:
         raise ModelError("residual")
-    nu = venue_reputation(structure, gamma)
+    nu = gamma @ beta
+    if nu.max() <= 0.0:
+        raise ModelError("all zero")
+    nu = nu / nu.max()
     scores = {}
     for roster in prefix.candidate_programs:
         total = 0.0
@@ -381,7 +416,7 @@ def _rebuilt_prefix(corpus, size, mode):
             if count:
                 total += float(nu[j]) * float(count)
         scores[roster.program_id] = total
-    return oracle, structure, scores
+    return oracle, (alpha, beta), scores
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -406,7 +441,7 @@ def test_sweep_equals_prefix_rebuilds_from_oracle_counts(
     scored = {}
     for size in range(1, n_ref + 1):
         try:
-            oracle, structure, scores = _rebuilt_prefix(corpus, size, mode)
+            oracle, (alpha, beta), scores = _rebuilt_prefix(corpus, size, mode)
         except RScoreError:
             with pytest.raises(AnalysisError, match=f"^reference-set size {size}: "):
                 stability_sweep(corpus, n_ref)
@@ -419,8 +454,8 @@ def test_sweep_equals_prefix_rebuilds_from_oracle_counts(
         assert dict(prefix.per_venue) == per_venue
         assert dict(prefix.per_program) == per_program
         model = build_reputation_model(prefix)
-        assert model.structure.alpha.tobytes() == structure.alpha.tobytes()
-        assert model.structure.beta.tobytes() == structure.beta.tobytes()
+        assert model.alpha.tobytes() == alpha.tobytes()
+        assert model.beta.tobytes() == beta.tobytes()
         report = score_programs(model, prefix, candidates)
         assert {row.program_id: row.raw_score for row in report.rows} == scores
         scored[size] = sorted(scores.items(), key=lambda item: (-item[1], item[0]))

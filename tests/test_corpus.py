@@ -59,7 +59,7 @@ def test_parse_roster_overlap_rejected():
             {"id": "r1", "role": "candidate", "faculty": ["c1"]},
         ]
     )
-    with pytest.raises(CorpusError, match="duplicate program id|roster overlap"):
+    with pytest.raises(CorpusError, match="duplicate program id 'r1'"):
         parse_corpus(_pub_line("p1"), rosters)
 
 

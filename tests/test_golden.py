@@ -6,8 +6,8 @@ A hash is the first 16 hex digits of the sha256 of stdout. The model digests
 and the ``error:`` lines of failing stability prefixes are pinned as text.
 The venue mode changes only the venue totals that ``counts`` reports, so
 every other distinct-mode output equals its per-program output byte for byte.
-The names the package exports are pinned too, so the public API only grows
-or shrinks on purpose.
+The names the package exports and its runtime dependencies are pinned too,
+so neither grows or shrinks by accident.
 Any change to counting, the model or formatting that alters one byte of
 output fails here.
 """
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,15 +284,11 @@ PUBLIC_API = [
     "ScoreRow",
     "ScoringError",
     "StabilityReport",
-    "TransitionStructure",
     "VenueMode",
-    "aggregate",
     "build_counts",
     "build_reputation_model",
-    "build_transitions",
     "compare_rankings",
     "parse_corpus",
-    "raw_score",
     "reference_venue_set",
     "score_programs",
     "serialize_publications",
@@ -298,13 +296,21 @@ PUBLIC_API = [
     "spearman",
     "stability_sweep",
     "stationary_gth",
-    "venue_reputation",
 ]
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_API) == 37
+    assert len(PUBLIC_API) == 32
     assert sorted(rscore.__all__) == PUBLIC_API
     namespace: dict[str, object] = {}
     exec("from rscore import *", namespace)
     assert set(PUBLIC_API) <= set(namespace)
+
+
+def test_runtime_dependencies_are_pinned():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        dependencies = tomllib.load(handle)["project"]["dependencies"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in dependencies]
+    assert names == ["numpy"]

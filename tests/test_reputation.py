@@ -10,43 +10,41 @@ from rscore import (
     ModelError,
     ReducibleChainError,
     VenueMode,
-    aggregate,
     build_counts,
     build_reputation_model,
-    build_transitions,
     stationary_gth,
 )
-from rscore.reputation import _strongly_connected_components
+from rscore.reputation import _strongly_connected_components, _transition_blocks
 
 from helpers import make_corpus, naive_matmul, power_iteration, random_corpus, random_stochastic
 
 
 def test_walkthrough_transition_blocks(walkthrough_counts):
-    structure = build_transitions(walkthrough_counts)
-    assert structure.program_index == ("north", "south")
-    assert structure.venue_index == ("alpha", "beta", "gamma")
-    np.testing.assert_allclose(structure.beta[0], [3 / 6, 2 / 6, 1 / 6], atol=1e-15)
-    np.testing.assert_allclose(structure.beta[1], [2 / 8, 4 / 8, 2 / 8], atol=1e-15)
-    np.testing.assert_allclose(structure.alpha[0], [3 / 5, 2 / 5], atol=1e-15)
-    np.testing.assert_allclose(structure.alpha[1], [2 / 6, 4 / 6], atol=1e-15)
-    np.testing.assert_allclose(structure.alpha[2], [1 / 3, 2 / 3], atol=1e-15)
+    model = build_reputation_model(walkthrough_counts)
+    assert model.program_index == ("north", "south")
+    assert model.venue_index == ("alpha", "beta", "gamma")
+    np.testing.assert_allclose(model.beta[0], [3 / 6, 2 / 6, 1 / 6], atol=1e-15)
+    np.testing.assert_allclose(model.beta[1], [2 / 8, 4 / 8, 2 / 8], atol=1e-15)
+    np.testing.assert_allclose(model.alpha[0], [3 / 5, 2 / 5], atol=1e-15)
+    np.testing.assert_allclose(model.alpha[1], [2 / 6, 4 / 6], atol=1e-15)
+    np.testing.assert_allclose(model.alpha[2], [1 / 3, 2 / 3], atol=1e-15)
 
 
 def test_single_program_single_venue_blocks_are_identity():
     corpus = make_corpus(pubs=[("p1", "v1", 2010, ["a1"])], refs=[("r1", ["a1"])])
-    structure = build_transitions(build_counts(corpus))
-    assert structure.alpha.tolist() == [[1.0]]
-    assert structure.beta.tolist() == [[1.0]]
+    model = build_reputation_model(build_counts(corpus))
+    assert model.alpha.tolist() == [[1.0]]
+    assert model.beta.tolist() == [[1.0]]
 
 
 def test_random_structures_are_stochastic():
     for seed in range(6):
         corpus = random_corpus(np.random.default_rng(200 + seed))
         for mode in VenueMode:
-            structure = build_transitions(build_counts(corpus, mode))
-            np.testing.assert_allclose(structure.beta.sum(axis=1), 1.0, atol=1e-12)
-            np.testing.assert_allclose(structure.alpha.sum(axis=1), 1.0, atol=1e-12)
-            for block in (structure.alpha, structure.beta):
+            model = build_reputation_model(build_counts(corpus, mode))
+            np.testing.assert_allclose(model.beta.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(model.alpha.sum(axis=1), 1.0, atol=1e-12)
+            for block in (model.alpha, model.beta):
                 assert block.min() >= 0.0 and block.max() <= 1.0
 
 
@@ -56,11 +54,11 @@ def test_zero_publication_reference_program_is_rejected():
         refs=[("r1", ["a1"]), ("idle", ["z1"])],
     )
     with pytest.raises(ModelError, match="idle"):
-        build_transitions(build_counts(corpus))
+        build_reputation_model(build_counts(corpus))
 
 
-def test_aggregate_walkthrough(walkthrough_counts):
-    p_prime = aggregate(build_transitions(walkthrough_counts))
+def test_aggregate_walkthrough(walkthrough_model):
+    p_prime = walkthrough_model.p_prime
     exact = np.array([[Fraction(7, 15), Fraction(8, 15)], [Fraction(2, 5), Fraction(3, 5)]],
                      dtype=float)
     np.testing.assert_allclose(p_prime, exact, atol=1e-14)
@@ -73,21 +71,25 @@ def test_aggregate_private_venues_gives_identity():
         pubs=[("p1", "v1", 2010, ["a1"]), ("p2", "v2", 2010, ["b1"])],
         refs=[("r1", ["a1"]), ("r2", ["b1"])],
     )
-    p_prime = aggregate(build_transitions(build_counts(corpus)))
-    np.testing.assert_allclose(p_prime, np.eye(2), atol=1e-15)
+    counts = build_counts(corpus)
+    alpha, beta = _transition_blocks(counts.matrix, counts.reference_programs)
+    np.testing.assert_allclose(beta @ alpha, np.eye(2), atol=1e-15)
+    # the identity chain is reducible, so the model names both programs apart
+    with pytest.raises(ReducibleChainError) as excinfo:
+        build_reputation_model(counts)
+    assert excinfo.value.components == ((0,), (1,))
 
 
 def test_aggregate_matches_naive_matmul():
     for seed in range(4):
         corpus = random_corpus(np.random.default_rng(300 + seed))
-        structure = build_transitions(build_counts(corpus))
-        expected = naive_matmul(structure.beta, structure.alpha)
-        np.testing.assert_allclose(aggregate(structure), expected, atol=1e-12)
+        model = build_reputation_model(build_counts(corpus))
+        expected = naive_matmul(model.beta, model.alpha)
+        np.testing.assert_allclose(model.p_prime, expected, atol=1e-12)
 
 
-def test_gth_walkthrough(walkthrough_counts):
-    p_prime = aggregate(build_transitions(walkthrough_counts))
-    gamma = stationary_gth(p_prime)
+def test_gth_walkthrough(walkthrough_model):
+    gamma = stationary_gth(walkthrough_model.p_prime)
     np.testing.assert_allclose(gamma, [3 / 7, 4 / 7], atol=1e-14)
 
 
@@ -151,10 +153,8 @@ def test_single_venue_reputation_is_one():
 def test_unnormalized_venue_reputation_sums_to_one():
     for seed in range(4):
         corpus = random_corpus(np.random.default_rng(500 + seed))
-        counts = build_counts(corpus)
-        structure = build_transitions(counts)
-        gamma = stationary_gth(aggregate(structure))
-        raw = gamma @ structure.beta
+        model = build_reputation_model(build_counts(corpus))
+        raw = model.gamma @ model.beta
         assert abs(raw.sum() - 1.0) < 1e-12
 
 
@@ -199,7 +199,7 @@ def test_program_permutation_permutes_gamma():
         ],
     )
     permuted = build_reputation_model(build_counts(reversed_corpus))
-    assert permuted.structure.program_index == tuple(reversed(model.structure.program_index))
+    assert permuted.program_index == tuple(reversed(model.program_index))
     np.testing.assert_allclose(permuted.gamma, model.gamma[::-1], atol=1e-12)
     np.testing.assert_allclose(permuted.nu, model.nu, atol=1e-12)
 
@@ -228,8 +228,7 @@ def test_venue_relabeling_permutes_nu():
 
 def test_beta_rows_invariant_under_program_count_scaling():
     corpus = random_corpus(np.random.default_rng(79), n_ref=3)
-    counts = build_counts(corpus)
-    structure = build_transitions(counts)
+    model = build_reputation_model(build_counts(corpus))
     target = corpus.reference_programs[0]
     # duplicate every publication involving the first program's faculty, twice
     extra = []
@@ -243,9 +242,9 @@ def test_beta_rows_invariant_under_program_count_scaling():
         refs=[(r.program_id, sorted(r.faculty)) for r in corpus.reference_programs],
         cands=[(r.program_id, sorted(r.faculty)) for r in corpus.candidate_programs],
     )
-    scaled = build_transitions(build_counts(scaled_corpus))
-    w = structure.program_index.index(target.program_id)
-    np.testing.assert_allclose(scaled.beta[w], structure.beta[w], atol=0)
+    scaled = build_reputation_model(build_counts(scaled_corpus))
+    w = model.program_index.index(target.program_id)
+    np.testing.assert_allclose(scaled.beta[w], model.beta[w], atol=0)
 
 
 def test_distinct_mode_renormalization_reproduces_share_matrix():
@@ -255,8 +254,7 @@ def test_distinct_mode_renormalization_reproduces_share_matrix():
     per_program = build_reputation_model(build_counts(corpus, VenueMode.PER_PROGRAM))
     distinct = build_reputation_model(build_counts(corpus, VenueMode.DISTINCT_PAPER))
     for name in ("alpha", "beta"):
-        left = getattr(distinct.structure, name)
-        assert left.tobytes() == getattr(per_program.structure, name).tobytes()
+        assert getattr(distinct, name).tobytes() == getattr(per_program, name).tobytes()
     assert distinct.nu.tobytes() == per_program.nu.tobytes()
 
 
@@ -288,7 +286,7 @@ def test_transitions_require_reference_programs():
         corpus=Corpus((), (), ()),
     )
     with pytest.raises(ModelError, match="no reference programs"):
-        build_transitions(empty)
+        build_reputation_model(empty)
 
 
 def test_gth_reducible_components_are_ordered_by_smallest_state():

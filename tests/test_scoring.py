@@ -12,7 +12,6 @@ from rscore import (
     ScoringError,
     build_counts,
     build_reputation_model,
-    raw_score,
     score_programs,
 )
 from rscore.scoring import _competition_ranks, _raw_scores
@@ -25,6 +24,11 @@ def _model_and_counts(corpus, mode=None):
     return build_reputation_model(counts), counts
 
 
+def _raw_score(model, counts, program_id):
+    (row,) = score_programs(model, counts, [program_id]).rows
+    return row.raw_score
+
+
 def test_single_paper_in_top_venue_scores_one(walkthrough_corpus):
     # 'beta' carries reputation 1.0; one solo paper there is worth exactly 1
     pubs = [(p.id, p.venue, p.year, list(p.authors)) for p in walkthrough_corpus.publications]
@@ -32,7 +36,7 @@ def test_single_paper_in_top_venue_scores_one(walkthrough_corpus):
     refs = [(r.program_id, sorted(r.faculty)) for r in walkthrough_corpus.reference_programs]
     corpus = make_corpus(pubs, refs, cands=[("solo", ["solo.author"])])
     model, counts = _model_and_counts(corpus)
-    assert raw_score(model, counts, "solo") == 1.0
+    assert _raw_score(model, counts, "solo") == 1.0
 
 
 def test_candidate_without_publications_scores_zero(walkthrough_corpus):
@@ -40,12 +44,12 @@ def test_candidate_without_publications_scores_zero(walkthrough_corpus):
     refs = [(r.program_id, sorted(r.faculty)) for r in walkthrough_corpus.reference_programs]
     corpus = make_corpus(pubs, refs, cands=[("idle", ["idle.author"])])
     model, counts = _model_and_counts(corpus)
-    assert raw_score(model, counts, "idle") == 0.0
+    assert _raw_score(model, counts, "idle") == 0.0
 
 
 def test_walkthrough_candidate_dot_product(walkthrough_model, walkthrough_counts):
     # counts (2, 1, 3) against reputations (5/6, 1, 1/2)
-    value = raw_score(walkthrough_model, walkthrough_counts, "east")
+    value = _raw_score(walkthrough_model, walkthrough_counts, "east")
     assert value == pytest.approx(25 / 6, abs=1e-12)
 
 
@@ -256,14 +260,14 @@ def test_scores_add_venues_left_to_right():
     model, counts = _model_and_counts(corpus)
     products = [
         counts.program_venue("cand", venue) * weight
-        for venue, weight in zip(model.structure.venue_index, model.nu.tolist())
+        for venue, weight in zip(model.venue_index, model.nu.tolist())
     ]
     expected = 0.0
     for product in products:
         expected += product
     assert float(np.sum(np.array(products))) != expected
 
-    assert raw_score(model, counts, "cand") == expected
+    assert _raw_score(model, counts, "cand") == expected
     # the stability sweep's shape: a venues x candidates block, one candidate
     block = np.ascontiguousarray(counts.matrix[1:].T, dtype=np.float64)
     columns = np.arange(len(model.nu))
