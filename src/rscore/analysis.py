@@ -18,9 +18,9 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import EMPTY_VENUE_SET, Corpus
 from .counts import build_counts
-from .errors import AnalysisError, DegenerateRankingError, RScoreError
+from .errors import AnalysisError, DegenerateRankingError, EmptyVenueSetError, RScoreError
 from .reputation import _solve, _transition_blocks
 from .scoring import ScoreReport, _raw_scores
 
@@ -134,9 +134,14 @@ def stability_sweep(corpus: Corpus, k: int) -> StabilityReport:
         reference = counts.matrix[: len(programs)]
         # venues x candidates, so each prefix gathers whole rows of it
         block = np.ascontiguousarray(counts.matrix[len(programs) :].T, dtype=np.float64)
-        prefixes = counts._prefix_columns(k)
+        # A prefix's venues are those its programs publish in, so each
+        # prefix adds its last program's venues to the set before it.
+        seen = np.zeros(len(counts.venue_index), dtype=bool)
         for size in range(1, k + 1):
-            columns = next(prefixes)
+            seen |= reference[size - 1] > 0
+            columns = np.flatnonzero(seen)
+            if columns.size == 0:
+                raise EmptyVenueSetError(EMPTY_VENUE_SET)
             alpha, beta = _transition_blocks(reference[:size, columns], programs[:size])
             _, _, nu = _solve(alpha, beta)
             raws = _raw_scores(block, columns, nu).tolist()

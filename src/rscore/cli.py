@@ -135,14 +135,7 @@ def _counts_sections(corpus: Corpus, counts: CountsTable):
     roles = {r.program_id: r.role.value for r in corpus.programs}
     venue_rows = list(counts.per_venue.items())
     program_rows = [(pid, roles[pid], total) for pid, total in counts.per_program.items()]
-    # np.nonzero walks the matrix in row-major order: programs, then venues.
-    rows, columns = np.nonzero(counts.matrix)
-    program_venue_rows = [
-        (counts.programs[r], counts.venue_index[j], c)
-        for r, j, c in zip(
-            rows.tolist(), columns.tolist(), counts.matrix[rows, columns].tolist()
-        )
-    ]
+    program_venue_rows = counts.per_program_venue.items()
     # The per-faculty table is already in (program, faculty, venue) order.
     table = counts.per_faculty_venue
     faculty_rows = zip(table, map(Fraction.as_integer_ratio, table.values()))
@@ -169,7 +162,7 @@ def _cmd_counts(args: argparse.Namespace) -> int:
                 ],
                 "program_venue": [
                     {"program": p, "venue": v, "count": float(c), "exact": _fmt_exact(c)}
-                    for p, v, c in program_venue_rows
+                    for (p, v), c in program_venue_rows
                 ],
                 "faculty_venue": [
                     {"program": p, "faculty": f, "venue": v, "count": n / d,
@@ -187,7 +180,7 @@ def _cmd_counts(args: argparse.Namespace) -> int:
     ]
     lines += ["# program_venue", "program\tvenue\tcount\texact"]
     lines += [
-        f"{p}\t{v}\t{_fmt(float(c))}\t{_fmt_exact(c)}" for p, v, c in program_venue_rows
+        f"{p}\t{v}\t{_fmt(float(c))}\t{_fmt_exact(c)}" for (p, v), c in program_venue_rows
     ]
     lines += ["# faculty_venue", "program\tfaculty\tvenue\tcount\texact"]
     # n / d is the correctly rounded float that float(Fraction(n, d)) gives.
@@ -320,7 +313,8 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 def _read_grades(path: str) -> list[tuple[str, float]]:
     grades: list[tuple[str, float]] = []
     text = _read_text(path, AnalysisError)
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # A line ends at LF (CRLF accepted), as a publications line does.
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -346,8 +340,8 @@ def _read_grades(path: str) -> list[tuple[str, float]]:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    score_report, _ = _score_candidates(args)
     grades = _read_grades(args.grades)
+    score_report, _ = _score_candidates(args)
     comparison = compare_rankings(score_report, grades)
     if args.json:
         _emit_json(

@@ -15,6 +15,7 @@ import json
 import json.scanner
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -78,15 +79,19 @@ class Corpus:
         return self.reference_programs + self.candidate_programs
 
     @cached_property
-    def _reference_venues(self) -> tuple[VenueId, ...]:
-        """What :func:`reference_venue_set` returns, computed once; may be empty."""
+    def _reference_venues(self) -> dict[VenueId, int]:
+        """Papers with a reference-roster author, per venue in venue id order.
+
+        Its keys are what :func:`reference_venue_set` returns, computed
+        once; it may be empty. Its values are the distinct-paper venue totals.
+        """
         members: set[str] = set()
         for roster in self.reference_programs:
             members |= roster.faculty
-        venues = {
+        papers = Counter(
             pub.venue for pub in self.publications if not members.isdisjoint(pub.authors)
-        }
-        return tuple(sorted(venues))
+        )
+        return dict(sorted(papers.items()))
 
     def roster(self, program_id: str) -> ProgramRoster:
         for roster in self.programs:

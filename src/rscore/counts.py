@@ -11,7 +11,7 @@ per-faculty table, which is built from the corpus when it is first read.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -21,8 +21,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .corpus import EMPTY_VENUE_SET, AuthorId, Corpus, VenueId, reference_venue_set
-from .errors import CountsError, EmptyVenueSetError
+from .corpus import AuthorId, Corpus, VenueId, reference_venue_set
+from .errors import CountsError
 
 
 class VenueMode(str, Enum):
@@ -44,30 +44,38 @@ class CountsTable:
 
     ``matrix[r, j]`` is the number of distinct papers in venue
     ``venue_index[j]`` with at least one author on the roster of program
-    ``programs[r]`` (reference programs first, then candidates).
-    ``first_reference[w, j]`` counts the papers in venue ``j`` whose first
-    reference program, in priority order, is ``w``; its column sums are the
-    distinct-paper venue totals, and so are those of any row prefix for the
-    matching reference-set prefix. Both are int64.
+    ``programs[r]`` (reference programs first, then candidates), as int64.
+    Everything else is read from ``corpus``: the programs, roster sizes,
+    the reference venue set and, in DISTINCT_PAPER mode, the venue totals,
+    which the corpus counted when it found that set.
 
     The accessors return exact numbers: ``int`` for program and venue
     counts, :class:`~fractions.Fraction` for per-faculty weights.
     """
 
-    venue_index: tuple[VenueId, ...]
-    reference_programs: tuple[str, ...]
-    candidate_programs: tuple[str, ...]
-    roster_sizes: Mapping[str, int]
-    matrix: np.ndarray
-    first_reference: np.ndarray
-    # The source of the lazily built per-faculty table.
     corpus: Corpus = field(repr=False)
+    matrix: np.ndarray
     venue_mode: VenueMode = VenueMode.PER_PROGRAM
 
     def __post_init__(self) -> None:
         # The cached views below must not go stale under the frozen table.
         self.matrix.setflags(write=False)
-        self.first_reference.setflags(write=False)
+
+    @cached_property
+    def venue_index(self) -> tuple[VenueId, ...]:
+        return tuple(self.corpus._reference_venues)
+
+    @cached_property
+    def reference_programs(self) -> tuple[str, ...]:
+        return tuple(r.program_id for r in self.corpus.reference_programs)
+
+    @cached_property
+    def candidate_programs(self) -> tuple[str, ...]:
+        return tuple(r.program_id for r in self.corpus.candidate_programs)
+
+    @cached_property
+    def roster_sizes(self) -> Mapping[str, int]:
+        return {r.program_id: len(r.faculty) for r in self.corpus.programs}
 
     @property
     def programs(self) -> tuple[str, ...]:
@@ -86,7 +94,8 @@ class CountsTable:
         """Per-venue totals over the reference programs, per ``venue_mode``."""
         if self.venue_mode is VenueMode.PER_PROGRAM:
             return self.matrix[: len(self.reference_programs)].sum(axis=0)
-        return self.first_reference.sum(axis=0)
+        papers = self.corpus._reference_venues.values()
+        return np.fromiter(papers, np.int64, len(papers))
 
     def row(self, program_id: str) -> int:
         """Matrix row of a program; raises :class:`CountsError` if unknown."""
@@ -129,10 +138,14 @@ class CountsTable:
     @cached_property
     def per_program_venue(self) -> Mapping[tuple[str, VenueId], int]:
         """Nonzero ``program_venue`` counts keyed by (program, venue)."""
+        # np.nonzero walks the matrix in row-major order: programs, then venues.
         rows, columns = np.nonzero(self.matrix)
+        programs, venues = self.programs, self.venue_index
         return {
-            (self.programs[r], self.venue_index[j]): int(self.matrix[r, j])
-            for r, j in zip(rows.tolist(), columns.tolist())
+            (programs[r], venues[j]): count
+            for r, j, count in zip(
+                rows.tolist(), columns.tolist(), self.matrix[rows, columns].tolist()
+            )
         }
 
     @cached_property
@@ -158,7 +171,6 @@ class CountsTable:
         members = sorted(
             (roster.program_id, member)
             for roster in self.corpus.programs
-            if roster.program_id in self._rows
             for member in roster.faculty
         )
         member, column, same_roster, papers = self._faculty_tallies(members)
@@ -228,46 +240,6 @@ class CountsTable:
         papers = np.diff(ends, prepend=-1)
         return member[ends], column[ends], same_roster[ends], papers
 
-    def reference_prefix(self, size: int) -> CountsTable:
-        """The table of the corpus cut to its first ``size`` reference programs.
-
-        Candidates stay; the venue set shrinks to the venues the prefix
-        publishes in, in the same order. Nothing is recounted.
-        """
-        n_ref = len(self.reference_programs)
-        if not 1 <= size <= n_ref:
-            raise CountsError(f"prefix size must be in 1..{n_ref}, got {size}")
-        *_, columns = self._prefix_columns(size)
-        rows = np.r_[0:size, n_ref : len(self.matrix)]
-        reference = self.reference_programs[:size]
-        return CountsTable(
-            venue_index=tuple(self.venue_index[j] for j in columns),
-            reference_programs=reference,
-            candidate_programs=self.candidate_programs,
-            roster_sizes={
-                pid: self.roster_sizes[pid] for pid in reference + self.candidate_programs
-            },
-            matrix=self.matrix[np.ix_(rows, columns)],
-            first_reference=self.first_reference[:size, columns],
-            corpus=self.corpus,
-            venue_mode=self.venue_mode,
-        )
-
-    def _prefix_columns(self, k: int) -> Iterator[np.ndarray]:
-        """The venue columns of the reference prefixes of size 1 to ``k``.
-
-        A prefix's venue set is the venues its programs publish in, in table
-        order, so each prefix adds its last program's venues to the set
-        before it.
-        """
-        seen = np.zeros(len(self.venue_index), dtype=bool)
-        for row in self.matrix[:k]:
-            seen |= row > 0
-            columns = np.flatnonzero(seen)
-            if columns.size == 0:
-                raise EmptyVenueSetError(EMPTY_VENUE_SET)
-            yield columns
-
 
 def build_counts(
     corpus: Corpus, venue_mode: VenueMode = VenueMode.PER_PROGRAM
@@ -277,41 +249,22 @@ def build_counts(
     Per-venue totals cover reference programs only; candidate papers in
     venues outside the reference venue set contribute nothing anywhere.
     """
-    venue_index = tuple(reference_venue_set(corpus))
-    columns = {venue: j for j, venue in enumerate(venue_index)}
+    columns = {venue: j for j, venue in enumerate(reference_venue_set(corpus))}
     programs = corpus.programs
-    n_ref, v = len(corpus.reference_programs), len(venue_index)
+    v = len(columns)
     row_of = {
         member: row for row, roster in enumerate(programs) for member in roster.faculty
     }
 
     # Flat (row * v + column) cell indices, one per (paper, home program).
     cells: list[int] = []
-    firsts: list[int] = []
     for pub in corpus.publications:
         j = columns.get(pub.venue)
         if j is None:
             continue
         rows = {row_of.get(author, -1) for author in pub.authors}
         rows.discard(-1)
-        if not rows:
-            continue
         cells.extend(row * v + j for row in rows)
-        first = min(rows)
-        if first < n_ref:
-            firsts.append(first * v + j)
 
-    def tally(flat: list[int], n_rows: int) -> np.ndarray:
-        counts = np.bincount(np.array(flat, dtype=np.int64), minlength=n_rows * v)
-        return counts.reshape(n_rows, v)
-
-    return CountsTable(
-        venue_index=venue_index,
-        reference_programs=tuple(r.program_id for r in corpus.reference_programs),
-        candidate_programs=tuple(r.program_id for r in corpus.candidate_programs),
-        roster_sizes={r.program_id: len(r.faculty) for r in programs},
-        matrix=tally(cells, len(programs)),
-        first_reference=tally(firsts, n_ref),
-        corpus=corpus,
-        venue_mode=venue_mode,
-    )
+    matrix = np.bincount(np.array(cells, dtype=np.int64), minlength=len(programs) * v)
+    return CountsTable(corpus, matrix.reshape(len(programs), v), venue_mode)

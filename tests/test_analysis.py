@@ -208,14 +208,7 @@ def test_sweep_matches_independent_recomputation():
     candidate_ids = sorted(r.program_id for r in corpus.candidate_programs)
     oracle_scores = {}
     for size in range(1, k + 1):
-        prefix = make_corpus(
-            pubs=[(p.id, p.venue, p.year, list(p.authors)) for p in corpus.publications],
-            refs=[
-                (r.program_id, sorted(r.faculty))
-                for r in corpus.reference_programs[:size]
-            ],
-            cands=[(r.program_id, sorted(r.faculty)) for r in corpus.candidate_programs],
-        )
+        prefix = _prefix_corpus(corpus, size)
         venue_set, _, per_program_venue, per_venue, per_program = oracle_counts(prefix)
         t = size
         beta = np.zeros((t, len(venue_set)))
@@ -285,9 +278,8 @@ def test_sweep_venue_mode_passthrough():
     report = stability_sweep(corpus, 3)
     candidates = [r.program_id for r in corpus.candidate_programs]
     for mode in VenueMode:
-        counts = build_counts(corpus, mode)
         for size in report.sizes:
-            prefix = counts.reference_prefix(size)
+            prefix = build_counts(_prefix_corpus(corpus, size), mode)
             ranked = score_programs(build_reputation_model(prefix), prefix, candidates)
             assert report.rankings[size] == tuple(row.program_id for row in ranked.rows)
 
@@ -364,6 +356,15 @@ def test_compare_end_to_end(walkthrough_corpus):
     assert comparison.rho == pytest.approx(1.0, abs=1e-12)
 
 
+def _prefix_corpus(corpus, size):
+    """The corpus with only its first ``size`` reference programs, rebuilt."""
+    return make_corpus(
+        pubs=[(p.id, p.venue, p.year, list(p.authors)) for p in corpus.publications],
+        refs=[(r.program_id, sorted(r.faculty)) for r in corpus.reference_programs[:size]],
+        cands=[(r.program_id, sorted(r.faculty)) for r in corpus.candidate_programs],
+    )
+
+
 def _rebuilt_prefix(corpus, size, mode):
     """Oracle counts, transition blocks and raw candidate scores of the
     prefix corpus, rebuilt from scratch.
@@ -375,11 +376,7 @@ def _rebuilt_prefix(corpus, size, mode):
     per-program venue totals in either mode; the mode changes only the
     reported totals. Raises RScoreError where the prefix has no usable model.
     """
-    prefix = make_corpus(
-        pubs=[(p.id, p.venue, p.year, list(p.authors)) for p in corpus.publications],
-        refs=[(r.program_id, sorted(r.faculty)) for r in corpus.reference_programs[:size]],
-        cands=[(r.program_id, sorted(r.faculty)) for r in corpus.candidate_programs],
-    )
+    prefix = _prefix_corpus(corpus, size)
     oracle = oracle_counts(prefix, mode is VenueMode.DISTINCT_PAPER)
     venue_set, _, per_program_venue, _, per_program = oracle
     if not venue_set:
@@ -436,7 +433,6 @@ def test_sweep_equals_prefix_rebuilds_from_oracle_counts(
         np.random.default_rng(seed), n_ref=n_ref, n_cand=n_cand, n_venues=n_venues,
         n_papers=n_papers, hub=hub,
     )
-    counts = build_counts(corpus, mode)
     candidates = [r.program_id for r in corpus.candidate_programs]
     scored = {}
     for size in range(1, n_ref + 1):
@@ -446,8 +442,8 @@ def test_sweep_equals_prefix_rebuilds_from_oracle_counts(
             with pytest.raises(AnalysisError, match=f"^reference-set size {size}: "):
                 stability_sweep(corpus, n_ref)
             return
-        # the sweep's prefix step: a slice of the one count, then the model
-        prefix = counts.reference_prefix(size)
+        # the prefix corpus counted on its own, then the model
+        prefix = build_counts(_prefix_corpus(corpus, size), mode)
         venue_set, _, per_program_venue, per_venue, per_program = oracle
         assert list(prefix.venue_index) == venue_set
         assert dict(prefix.per_program_venue) == per_program_venue

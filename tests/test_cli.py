@@ -153,6 +153,42 @@ def test_compare_malformed_grades(walkthrough_args, tmp_path, capsys):
     assert "grades.tsv:1" in captured.err
 
 
+def test_compare_reads_grades_before_the_corpus(walkthrough_args, tmp_path, monkeypatch, capsys):
+    import rscore.cli
+
+    parsed = []
+    parse = rscore.cli.parse_corpus
+    monkeypatch.setattr(
+        rscore.cli, "parse_corpus", lambda *args: parsed.append(1) or parse(*args)
+    )
+    grades = tmp_path / "grades.tsv"
+    grades.write_text("east\tnotanumber\n", encoding="utf-8")
+    assert run(["compare", "--grades", str(grades), *walkthrough_args]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {grades}:1: grade must be a number, got 'notanumber'\n"
+    )
+    assert parsed == []
+
+
+@pytest.mark.parametrize("separator", ["\x1c", "\x85", "\u2028"])
+def test_compare_grades_line_ends_only_at_newline(fixture_dir, tmp_path, separator, capsys):
+    # str.splitlines would also end a line at these; a roster id may hold them
+    east = f"ea{separator}st"
+    rosters = json.loads((fixture_dir / "rosters.json").read_text(encoding="utf-8"))
+    rosters["programs"][2]["id"] = east
+    (tmp_path / "rosters.json").write_text(json.dumps(rosters), encoding="utf-8")
+    grades = tmp_path / "grades.tsv"
+    grades.write_text(f"{east}\t7\r\nwest\t6\n", encoding="utf-8", newline="")
+    assert run([
+        "compare", "--grades", str(grades),
+        "--pubs", str(fixture_dir / "publications.jsonl"),
+        "--rosters", str(tmp_path / "rosters.json"),
+    ]) == 0
+    assert capsys.readouterr().out.split("\n")[1:3] == [
+        f"{east}\t1.000000\t7", "west\t0.480000\t6"
+    ]
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
     assert capsys.readouterr().out == ""

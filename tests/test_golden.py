@@ -14,6 +14,7 @@ output fails here.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import re
@@ -24,6 +25,7 @@ import pytest
 
 import rscore
 from rscore import (
+    CountsTable,
     VenueMode,
     build_counts,
     build_reputation_model,
@@ -305,6 +307,12 @@ def test_public_api_is_pinned():
     namespace: dict[str, object] = {}
     exec("from rscore import *", namespace)
     assert set(PUBLIC_API) <= set(namespace)
+
+
+def test_counts_table_holds_only_its_corpus_count():
+    # programs, venues, roster sizes and distinct totals are read from the corpus
+    fields = [f.name for f in dataclasses.fields(CountsTable)]
+    assert fields == ["corpus", "matrix", "venue_mode"]
 
 
 def test_runtime_dependencies_are_pinned():

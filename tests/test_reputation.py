@@ -277,13 +277,9 @@ def test_transitions_require_reference_programs():
     from rscore import Corpus, CountsTable
 
     empty = CountsTable(
-        venue_index=(),
-        reference_programs=(),
-        candidate_programs=(),
-        roster_sizes={},
-        matrix=np.zeros((0, 0), dtype=np.int64),
-        first_reference=np.zeros((0, 0), dtype=np.int64),
         corpus=Corpus((), (), ()),
+        matrix=np.zeros((0, 0), dtype=np.int64),
+        venue_mode=VenueMode.PER_PROGRAM,
     )
     with pytest.raises(ModelError, match="no reference programs"):
         build_reputation_model(empty)
