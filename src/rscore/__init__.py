@@ -20,7 +20,6 @@ from .corpus import (
     Corpus,
     ProgramRoster,
     PublicationRecord,
-    Role,
     parse_corpus,
     reference_venue_set,
     serialize_publications,
@@ -62,7 +61,6 @@ __all__ = [
     "PublicationRecord",
     "ReducibleChainError",
     "ReputationModel",
-    "Role",
     "RScoreError",
     "ScoreReport",
     "ScoreRow",

@@ -12,6 +12,7 @@ prefix builds a table of its own.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from numbers import Real
 from collections.abc import Mapping, Sequence
@@ -52,18 +53,14 @@ def _rank_map(ranking: Ranking) -> dict[str, float]:
     for pid, score in pairs:
         if not math.isfinite(score):
             raise AnalysisError(f"ranking score of {pid!r} is not finite: {score}")
-    pairs.sort(key=lambda item: (-item[1], item[0]))
-    ranks: dict[str, float] = {}
-    start = 0
-    while start < len(pairs):
-        stop = start
-        while stop < len(pairs) and pairs[stop][1] == pairs[start][1]:
-            stop += 1
-        average = (start + 1 + stop) / 2.0
-        for index in range(start, stop):
-            ranks[pairs[index][0]] = average
-        start = stop
-    return ranks
+    # Ties hold descending positions n - right + 1 through n - left, where
+    # left and right bound the score's run in ascending order.
+    n = len(pairs)
+    ascending = sorted(score for _, score in pairs)
+    return {
+        pid: (2 * n + 1 - bisect_left(ascending, s) - bisect_right(ascending, s)) / 2.0
+        for pid, s in pairs
+    }
 
 
 def spearman(rank_a: Ranking, rank_b: Ranking) -> float:

@@ -131,10 +131,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _counts_sections(corpus: Corpus, counts: CountsTable):
-    roles = {r.program_id: r.role.value for r in corpus.programs}
+def _counts_sections(counts: CountsTable):
+    # Rows hold the reference programs first, then the candidates.
+    n_reference = len(counts.reference_programs)
     venue_rows = list(counts.per_venue.items())
-    program_rows = [(pid, roles[pid], total) for pid, total in counts.per_program.items()]
+    program_rows = [
+        (pid, "reference" if row < n_reference else "candidate", total)
+        for row, (pid, total) in enumerate(counts.per_program.items())
+    ]
     program_venue_rows = counts.per_program_venue.items()
     # The per-faculty table is already in (program, faculty, venue) order.
     table = counts.per_faculty_venue
@@ -145,9 +149,7 @@ def _counts_sections(corpus: Corpus, counts: CountsTable):
 def _cmd_counts(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
     counts = build_counts(corpus, _VENUE_MODES[args.venue_mode])
-    venue_rows, program_rows, program_venue_rows, faculty_rows = _counts_sections(
-        corpus, counts
-    )
+    venue_rows, program_rows, program_venue_rows, faculty_rows = _counts_sections(counts)
     if args.json:
         _emit_json(
             {
@@ -313,6 +315,8 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 def _read_grades(path: str) -> list[tuple[str, float]]:
     grades: list[tuple[str, float]] = []
     text = _read_text(path, AnalysisError)
+    if text.startswith("\ufeff"):
+        raise AnalysisError(f"{path}:1: unexpected UTF-8 byte order mark")
     # A line ends at LF (CRLF accepted), as a publications line does.
     for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         if not line.strip():

@@ -1,8 +1,10 @@
 """Domain model and input parsing for publication corpora.
 
-A corpus bundles publication records with program rosters (reference and
-candidate) and optionally restricts records to a closed year window. All
-values are immutable after construction and safe to share between threads.
+A corpus bundles publication records with program rosters and optionally
+restricts records to a closed year window. A roster is a reference or a
+candidate program because of the corpus list that holds it; the roster
+itself records no role. All values are immutable after construction and
+safe to share between threads.
 
 Identifiers are opaque strings compared by exact equality. Resolving author
 names to stable identifiers and merging renamed venues is the data
@@ -14,11 +16,12 @@ from __future__ import annotations
 import json
 import json.scanner
 import logging
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import CorpusError, EmptyVenueSetError
 
@@ -33,11 +36,6 @@ _ROSTER_ALLOWED_KEYS = _ROSTER_REQUIRED_KEYS | {"rank_hint"}
 EMPTY_VENUE_SET = "no publication by reference-program faculty; the venue set is empty"
 
 
-class Role(str, Enum):
-    REFERENCE = "reference"
-    CANDIDATE = "candidate"
-
-
 @dataclass(frozen=True)
 class PublicationRecord:
     """One paper: where it appeared, when, and who wrote it."""
@@ -50,10 +48,13 @@ class PublicationRecord:
 
 @dataclass(frozen=True)
 class ProgramRoster:
-    """A program and the set of faculty whose publications count for it."""
+    """A program and the set of faculty whose publications count for it.
+
+    Whether it is a reference or a candidate program is fixed by the
+    :class:`Corpus` list that holds it.
+    """
 
     program_id: str
-    role: Role
     faculty: frozenset[AuthorId]
 
 
@@ -92,12 +93,6 @@ class Corpus:
             pub.venue for pub in self.publications if not members.isdisjoint(pub.authors)
         )
         return dict(sorted(papers.items()))
-
-    def roster(self, program_id: str) -> ProgramRoster:
-        for roster in self.programs:
-            if roster.program_id == program_id:
-                return roster
-        raise CorpusError(f"unknown program id {program_id!r}")
 
 
 def _check_structure(corpus: Corpus) -> None:
@@ -376,10 +371,9 @@ def _parse_rosters(text: str) -> tuple[list[ProgramRoster], list[ProgramRoster]]
     if not isinstance(entries, list):
         raise CorpusError("rosters 'programs' must be an array")
 
-    # (rank_hint, file position) orders the reference programs; unhinted ones
-    # follow all hinted ones in file order.
-    hinted: list[tuple[int, int, ProgramRoster]] = []
-    unhinted: list[tuple[int, ProgramRoster]] = []
+    # Reference programs go by rank_hint, unhinted ones after every hinted
+    # one; the sort is stable, so file order breaks ties.
+    reference: list[tuple[float, ProgramRoster]] = []
     candidates: list[ProgramRoster] = []
     for position, entry in enumerate(entries):
         where = f"rosters program #{position + 1}"
@@ -393,12 +387,11 @@ def _parse_rosters(text: str) -> tuple[list[ProgramRoster], list[ProgramRoster]]
             raise CorpusError(f"{where}: missing keys {sorted(missing)}")
 
         program_id = _clean_id(entry["id"], "program id", where)
-        role_raw = entry["role"]
-        if role_raw not in (Role.REFERENCE.value, Role.CANDIDATE.value):
+        role = entry["role"]
+        if role not in ("reference", "candidate"):
             raise CorpusError(
-                f"{where}: role must be 'reference' or 'candidate', got {role_raw!r}"
+                f"{where}: role must be 'reference' or 'candidate', got {role!r}"
             )
-        role = Role(role_raw)
 
         raw_faculty = entry["faculty"]
         if not isinstance(raw_faculty, list):
@@ -416,20 +409,14 @@ def _parse_rosters(text: str) -> tuple[list[ProgramRoster], list[ProgramRoster]]
             if rank_hint < 1:
                 raise CorpusError(f"{where}: rank_hint must be >= 1, got {rank_hint}")
 
-        roster = ProgramRoster(
-            program_id=program_id, role=role, faculty=frozenset(faculty)
-        )
-        if role is Role.CANDIDATE:
+        roster = ProgramRoster(program_id, frozenset(faculty))
+        if role == "candidate":
             candidates.append(roster)
-        elif rank_hint is not None:
-            hinted.append((rank_hint, position, roster))
         else:
-            unhinted.append((position, roster))
+            reference.append((math.inf if rank_hint is None else rank_hint, roster))
 
-    hinted.sort(key=lambda item: (item[0], item[1]))
-    reference = [roster for _, _, roster in hinted]
-    reference.extend(roster for _, roster in unhinted)
-    return reference, candidates
+    reference.sort(key=itemgetter(0))
+    return [roster for _, roster in reference], candidates
 
 
 def serialize_publications(corpus: Corpus) -> str:
@@ -461,7 +448,7 @@ def serialize_rosters(corpus: Corpus) -> str:
         programs.append(
             {
                 "id": roster.program_id,
-                "role": roster.role.value,
+                "role": "reference",
                 "rank_hint": hint,
                 "faculty": sorted(roster.faculty),
             }
@@ -470,7 +457,7 @@ def serialize_rosters(corpus: Corpus) -> str:
         programs.append(
             {
                 "id": roster.program_id,
-                "role": roster.role.value,
+                "role": "candidate",
                 "faculty": sorted(roster.faculty),
             }
         )

@@ -115,8 +115,7 @@ class CountsTable:
 
     def faculty_venue(self, program_id: str, faculty: AuthorId, venue: VenueId) -> Fraction:
         """Co-author-weighted paper count for one faculty member in one venue."""
-        self.row(program_id)
-        if faculty not in self.corpus.roster(program_id).faculty:
+        if faculty not in self.corpus.programs[self.row(program_id)].faculty:
             raise CountsError(
                 f"faculty member {faculty!r} is not in the roster of {program_id!r}"
             )

@@ -156,7 +156,8 @@ def stationary_gth(p: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if n == 0:
         raise ModelError("empty transition matrix")
-    if np.any(a < 0) or np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-8:
+    # Written so that a NaN entry, whose row sum is NaN, fails the check.
+    if np.any(a < 0) or not np.all(np.abs(a.sum(axis=1) - 1.0) <= 1e-8):
         raise ModelError("matrix is not row-stochastic")
 
     components = _strongly_connected_components(a > 0)

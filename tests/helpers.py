@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rscore import Corpus, ProgramRoster, PublicationRecord, Role
+from rscore import Corpus, ProgramRoster, PublicationRecord
 
 
 def make_corpus(pubs, refs, cands=(), window=None) -> Corpus:
@@ -26,12 +26,8 @@ def make_corpus(pubs, refs, cands=(), window=None) -> Corpus:
             PublicationRecord(id=p, venue=v, year=y, authors=tuple(a))
             for p, v, y, a in pubs
         ),
-        reference_programs=tuple(
-            ProgramRoster(pid, Role.REFERENCE, frozenset(fac)) for pid, fac in refs
-        ),
-        candidate_programs=tuple(
-            ProgramRoster(pid, Role.CANDIDATE, frozenset(fac)) for pid, fac in cands
-        ),
+        reference_programs=tuple(ProgramRoster(pid, frozenset(fac)) for pid, fac in refs),
+        candidate_programs=tuple(ProgramRoster(pid, frozenset(fac)) for pid, fac in cands),
         year_window=window,
     )
 

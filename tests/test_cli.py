@@ -170,6 +170,16 @@ def test_compare_reads_grades_before_the_corpus(walkthrough_args, tmp_path, monk
     assert parsed == []
 
 
+def test_compare_rejects_grades_byte_order_mark(walkthrough_args, fixture_dir, tmp_path, capsys):
+    # read as text, the mark would become part of the first program id
+    grades = tmp_path / "grades.tsv"
+    grades.write_bytes(b"\xef\xbb\xbf" + (fixture_dir / "grades.tsv").read_bytes())
+    assert run(["compare", "--grades", str(grades), *walkthrough_args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {grades}:1: unexpected UTF-8 byte order mark\n"
+
+
 @pytest.mark.parametrize("separator", ["\x1c", "\x85", "\u2028"])
 def test_compare_grades_line_ends_only_at_newline(fixture_dir, tmp_path, separator, capsys):
     # str.splitlines would also end a line at these; a roster id may hold them

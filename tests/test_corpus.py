@@ -365,11 +365,6 @@ def test_direct_construction_checks_window_containment():
         )
 
 
-def test_unknown_program_lookup(walkthrough_corpus):
-    with pytest.raises(CorpusError, match="unknown program id"):
-        walkthrough_corpus.roster("nowhere")
-
-
 _ORACLE_ROSTERS = _rosters([{"id": "r1", "role": "reference", "faculty": ["r.a"]}])
 _ANCHOR = _pub_line("anchor", authors=("r.a",))
 # Ids come from a small pool, so they collide, also after trimming. The odd

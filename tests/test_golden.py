@@ -26,6 +26,7 @@ import pytest
 import rscore
 from rscore import (
     CountsTable,
+    ProgramRoster,
     VenueMode,
     build_counts,
     build_reputation_model,
@@ -281,7 +282,6 @@ PUBLIC_API = [
     "RScoreError",
     "ReducibleChainError",
     "ReputationModel",
-    "Role",
     "ScoreReport",
     "ScoreRow",
     "ScoringError",
@@ -302,7 +302,7 @@ PUBLIC_API = [
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_API) == 32
+    assert len(PUBLIC_API) == 31
     assert sorted(rscore.__all__) == PUBLIC_API
     namespace: dict[str, object] = {}
     exec("from rscore import *", namespace)
@@ -313,6 +313,12 @@ def test_counts_table_holds_only_its_corpus_count():
     # programs, venues, roster sizes and distinct totals are read from the corpus
     fields = [f.name for f in dataclasses.fields(CountsTable)]
     assert fields == ["corpus", "matrix", "venue_mode"]
+
+
+def test_program_roster_records_no_role():
+    # a roster's role is the corpus list that holds it
+    fields = [f.name for f in dataclasses.fields(ProgramRoster)]
+    assert fields == ["program_id", "faculty"]
 
 
 def test_runtime_dependencies_are_pinned():

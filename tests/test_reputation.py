@@ -134,6 +134,17 @@ def test_gth_rejects_empty_and_non_stochastic():
         stationary_gth(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
 
+@pytest.mark.parametrize(
+    "p",
+    [[[np.nan, 1.0], [0.5, 0.5]], [[np.nan, np.nan], [0.5, 0.5]]],
+    ids=["nan entry", "nan row"],
+)
+def test_gth_rejects_nan(p):
+    # a NaN row sum must fail the row-sum check, not slip past it
+    with pytest.raises(ModelError, match="not row-stochastic"):
+        stationary_gth(np.array(p))
+
+
 def test_venue_reputation_walkthrough(walkthrough_model):
     np.testing.assert_allclose(walkthrough_model.nu, [5 / 6, 1.0, 1 / 2], atol=1e-12)
     displayed = np.array([0.83, 1.0, 0.5])

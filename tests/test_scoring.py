@@ -146,7 +146,7 @@ def test_adding_a_publication_raises_score_and_never_rank():
     candidates = [r.program_id for r in corpus.candidate_programs]
     before = score_programs(model, counts, candidates)
     target = candidates[0]
-    member = sorted(corpus.roster(target).faculty)[0]
+    member = sorted(corpus.candidate_programs[0].faculty)[0]
     venue = counts.venue_index[0]
     assert model.nu[0] > 0
     grown = Corpus(
