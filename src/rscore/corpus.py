@@ -1,10 +1,13 @@
 """Domain model and input parsing for publication corpora.
 
-A corpus bundles publication records with program rosters and optionally
-restricts records to a closed year window. A roster is a reference or a
-candidate program because of the corpus list that holds it; the roster
-itself records no role. All values are immutable after construction and
-safe to share between threads.
+A corpus bundles publications with program rosters and optionally restricts
+them to a closed year window. It holds the publications as columns (ids,
+venues, years, author tuples) that the parser fills in one pass over the
+lines; the checks, the venue set and the counts read them with C-level
+iterators and numpy, and :class:`PublicationRecord` objects are built only
+when ``Corpus.publications`` is read. A roster is a reference or a candidate
+program because of the corpus list that holds it. All values are immutable
+after construction and safe to share between threads.
 
 Identifiers are opaque strings compared by exact equality. Resolving author
 names to stable identifiers and merging renamed venues is the data
@@ -19,9 +22,13 @@ import logging
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain, compress, repeat
 from operator import itemgetter
+
+import numpy as np
 
 from .errors import CorpusError, EmptyVenueSetError
 
@@ -58,26 +65,59 @@ class ProgramRoster:
     faculty: frozenset[AuthorId]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Corpus:
     """Validated, immutable bundle of publications and program rosters.
 
+    Built from :class:`PublicationRecord` objects, it keeps their fields as
+    columns; ``publications`` builds the records again on first read.
     ``reference_programs`` is ordered: its order is the priority used when
     stability sweeps take reference-set prefixes.
     """
 
-    publications: tuple[PublicationRecord, ...]
+    _ids: tuple[str, ...] = field(repr=False)
+    _venues: tuple[VenueId, ...] = field(repr=False)
+    _years: tuple[int, ...] = field(repr=False)
+    _authors: tuple[tuple[AuthorId, ...], ...] = field(repr=False)
     reference_programs: tuple[ProgramRoster, ...]
     candidate_programs: tuple[ProgramRoster, ...]
     year_window: tuple[int, int] | None = None
     dropped_outside_window: int = field(default=0, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, publications: Iterable[PublicationRecord],
+                 reference_programs: tuple[ProgramRoster, ...],
+                 candidate_programs: tuple[ProgramRoster, ...],
+                 year_window: tuple[int, int] | None = None,
+                 dropped_outside_window: int = 0) -> None:
+        rows = [(pub.id, pub.venue, pub.year, pub.authors) for pub in publications]
+        _fill(self, list(zip(*rows)) or [()] * 4, reference_programs, candidate_programs,
+              year_window, dropped_outside_window)
         _check_structure(self)
+
+    @cached_property
+    def publications(self) -> tuple[PublicationRecord, ...]:
+        return tuple(map(PublicationRecord, self._ids, self._venues, self._years, self._authors))
 
     @property
     def programs(self) -> tuple[ProgramRoster, ...]:
         return self.reference_programs + self.candidate_programs
+
+    @cached_property
+    def _members(self) -> list[tuple[str, AuthorId]]:
+        """Roster members as (program id, member), in :attr:`programs` order;
+        a member's number is its position."""
+        return [(roster.program_id, m) for roster in self.programs for m in roster.faculty]
+
+    @cached_property
+    def _member_papers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(paper, member number) of every authorship by a roster member, in
+        paper order, and the program row of every member number."""
+        number = {member: m for m, (_, member) in enumerate(self._members)}
+        authors = self._authors
+        member = np.fromiter(map(number.get, chain.from_iterable(authors), repeat(-1)), np.int64)
+        paper = np.repeat(np.arange(len(authors)), list(map(len, authors)))
+        home = np.repeat(np.arange(len(self.programs)), [len(r.faculty) for r in self.programs])
+        return paper[member >= 0], member[member >= 0], home
 
     @cached_property
     def _reference_venues(self) -> dict[VenueId, int]:
@@ -86,17 +126,53 @@ class Corpus:
         Its keys are what :func:`reference_venue_set` returns, computed
         once; it may be empty. Its values are the distinct-paper venue totals.
         """
-        members: set[str] = set()
-        for roster in self.reference_programs:
-            members |= roster.faculty
-        papers = Counter(
-            pub.venue for pub in self.publications if not members.isdisjoint(pub.authors)
-        )
-        return dict(sorted(papers.items()))
+        paper, member, home = self._member_papers
+        shared = np.zeros(len(self._ids), dtype=bool)
+        shared[paper[home[member] < len(self.reference_programs)]] = True
+        return dict(sorted(Counter(compress(self._venues, shared.tolist())).items()))
+
+
+def _fill(corpus: Corpus, columns: list[Sequence], *rest: object) -> None:
+    """Set the fields of ``corpus``: the id, venue, year and authors columns, then ``rest``."""
+    for name, value in zip((f.name for f in fields(Corpus)), (*map(tuple, columns), *rest)):
+        object.__setattr__(corpus, name, value)
 
 
 def _check_structure(corpus: Corpus) -> None:
-    """Enforce the structural invariants that hold for every corpus."""
+    """Enforce the structural invariants that hold for every corpus.
+
+    The publications are checked on whole columns with C-level passes; only
+    a corpus that fails one is walked record by record, to name its first
+    bad record.
+    """
+    _check_rosters(corpus)
+    ids, years, authors, window = corpus._ids, corpus._years, corpus._authors, corpus.year_window
+    if (
+        all(ids)
+        and len(set(ids)) == len(ids)
+        and all(authors)
+        and sum(map(len, map(frozenset, authors))) == sum(map(len, authors))
+        and (window is None or not years or window[0] <= min(years) and max(years) <= window[1])
+    ):
+        return
+    seen_pubs: set[str] = set()
+    for pub_id, year, pub_authors in zip(ids, years, authors):
+        if not pub_id:
+            raise CorpusError("publication with empty id")
+        if pub_id in seen_pubs:
+            raise CorpusError(f"duplicate publication id {pub_id!r}")
+        seen_pubs.add(pub_id)
+        if not pub_authors:
+            raise CorpusError(f"empty author list in record {pub_id!r}")
+        if len(set(pub_authors)) != len(pub_authors):
+            raise CorpusError(f"duplicate author within record {pub_id!r}")
+        if window is not None and not window[0] <= year <= window[1]:
+            lo, hi = window
+            raise CorpusError(f"record {pub_id!r} year {year} outside window [{lo}, {hi}]")
+
+
+def _check_rosters(corpus: Corpus) -> None:
+    """No empty or repeated program id, no empty roster, no member on two rosters."""
     seen_programs: set[str] = set()
     author_home: dict[str, str] = {}
     for roster in corpus.programs:
@@ -114,24 +190,6 @@ def _check_structure(corpus: Corpus) -> None:
                     f"{author_home[author]!r} and {roster.program_id!r}"
                 )
             author_home[author] = roster.program_id
-
-    seen_pubs: set[str] = set()
-    for pub in corpus.publications:
-        if not pub.id:
-            raise CorpusError("publication with empty id")
-        if pub.id in seen_pubs:
-            raise CorpusError(f"duplicate publication id {pub.id!r}")
-        seen_pubs.add(pub.id)
-        if not pub.authors:
-            raise CorpusError(f"empty author list in record {pub.id!r}")
-        if len(set(pub.authors)) != len(pub.authors):
-            raise CorpusError(f"duplicate author within record {pub.id!r}")
-        if corpus.year_window is not None:
-            lo, hi = corpus.year_window
-            if not lo <= pub.year <= hi:
-                raise CorpusError(
-                    f"record {pub.id!r} year {pub.year} outside window [{lo}, {hi}]"
-                )
 
 
 def reference_venue_set(corpus: Corpus) -> list[VenueId]:
@@ -171,35 +229,22 @@ def parse_corpus(
         if lo > hi:
             raise CorpusError(f"empty year window [{lo}, {hi}]")
 
-    records = _parse_publications(publications)
+    columns = _parse_publications(publications)
     reference, candidates = _parse_rosters(rosters)
 
-    kept: list[PublicationRecord] = []
     dropped = 0
-    if year_window is None:
-        kept = records
-    else:
-        lo, hi = year_window
-        for record in records:
-            if lo <= record.year <= hi:
-                kept.append(record)
-            else:
-                dropped += 1
+    if year_window is not None:
+        inside = [lo <= year <= hi for year in columns[2]]
+        dropped = inside.count(False)
+        columns = [list(compress(column, inside)) for column in columns]
         if dropped:
-            logger.warning(
-                "dropped %d publication record(s) outside year window [%d, %d]",
-                dropped,
-                lo,
-                hi,
-            )
+            logger.warning("dropped %d publication record(s) outside year window [%d, %d]",
+                           dropped, lo, hi)
 
-    corpus = Corpus(
-        publications=tuple(kept),
-        reference_programs=tuple(reference),
-        candidate_programs=tuple(candidates),
-        year_window=year_window,
-        dropped_outside_window=dropped,
-    )
+    # The records were checked line by line, and those outside the window dropped.
+    corpus = object.__new__(Corpus)
+    _fill(corpus, columns, tuple(reference), tuple(candidates), year_window, dropped)
+    _check_rosters(corpus)
     reference_venue_set(corpus)  # reject corpora with an empty venue set
     return corpus
 
@@ -272,39 +317,41 @@ def _decode(text: str, where: str, what: str) -> object:
 
 
 # One C call decodes the JSON value that starts at an index and returns it
-# with the index where it ends. Objects come back as tuples of (key, value)
-# pairs, so a repeated key is still visible and an array (a list) is not
-# mistaken for an object.
-_scan_value = json.scanner.make_scanner(json.JSONDecoder(object_pairs_hook=tuple))
+# with the index where it ends.
+_scan_value = json.scanner.make_scanner(json.JSONDecoder())
 
 
-def _parse_publications(text: str) -> list[PublicationRecord]:
-    """Parse JSON Lines: one record per line, a line ending at LF or CRLF.
+def _parse_publications(text: str) -> list[list]:
+    """Parse JSON Lines, a line ending at LF or CRLF, into id, venue, year
+    and authors columns.
 
     A line that is exactly one well-formed record, with nothing around it,
-    is decoded and checked with C-level operations only. Any other line
-    (blank, padded, malformed, rejected, or one that may hold a lone
-    surrogate) goes to :func:`_parse_line`, the reference checks, which
-    accept it or raise the line's error.
+    is decoded and checked with C-level operations only. It must hold just
+    four colons: each key needs its own, so a line whose four keys are found
+    holds no other key and repeats none (decoding keeps a repeated key's last
+    value). Any other line (blank, padded, malformed, rejected, holding a
+    colon in a string, or one that may hold a lone surrogate) goes to
+    :func:`_parse_line`, the reference checks, which accept it or raise.
     """
-    records: list[PublicationRecord] = []
+    columns: list[list] = [[], [], [], []]
+    add_id, add_venue, add_year, add_authors = (column.append for column in columns)
     seen: set[str] = set()
     strip = str.strip
+    # Venue and author ids repeat from paper to paper; the columns keep one
+    # string object per distinct id.
+    share = {}.setdefault
     suspect = _may_hold_surrogate(text)
     lines = text.replace("\r\n", "\n").split("\n")
     for lineno, line in enumerate(lines, start=1):
         try:
-            pairs, end = _scan_value(line, 0)
-            raw = dict(pairs)
+            raw, end = _scan_value(line, 0)
             pub_id = strip(raw["id"])
             venue = strip(raw["venue"])
             year = raw["year"]
             raw_authors = raw["authors"]
             if (
-                type(pairs) is tuple
-                and len(pairs) == 4
-                and raw.keys() == _PUBLICATION_KEYS
-                and end == len(line)
+                end == len(line)
+                and line.count(":") == 4
                 and pub_id
                 and venue
                 and type(year) is int
@@ -315,18 +362,22 @@ def _parse_publications(text: str) -> list[PublicationRecord]:
                 authors = tuple(map(strip, raw_authors))
                 if authors and all(authors) and len(set(authors)) == len(authors):
                     seen.add(pub_id)
-                    records.append(PublicationRecord(pub_id, venue, year, authors))
+                    add_id(pub_id)
+                    add_venue(share(venue, venue))
+                    add_year(year)
+                    add_authors(tuple(map(share, authors, authors)))
                     continue
         except (ValueError, TypeError, KeyError, StopIteration, RecursionError):
             pass
-        record = _parse_line(line, lineno, seen)
-        if record is not None:
-            records.append(record)
-    return records
+        row = _parse_line(line, lineno, seen)
+        for column, value in zip(columns, row or ()):
+            column.append(value)
+    return columns
 
 
-def _parse_line(line: str, lineno: int, seen: set[str]) -> PublicationRecord | None:
-    """Check one line rule by rule: its record, ``None`` if blank, or its error.
+def _parse_line(line: str, lineno: int, seen: set[str]) -> tuple | None:
+    """Check one line rule by rule: its (id, venue, year, authors), ``None`` if
+    blank, or its error.
 
     ``seen`` holds the publication ids of the lines before; the line's id is
     added to it.
@@ -360,7 +411,7 @@ def _parse_line(line: str, lineno: int, seen: set[str]) -> PublicationRecord | N
     authors = tuple(_clean_id(a, "author id", where) for a in raw_authors)
     if len(set(authors)) != len(authors):
         raise CorpusError(f"duplicate author within record {pub_id!r} ({where})")
-    return PublicationRecord(id=pub_id, venue=venue, year=year, authors=authors)
+    return pub_id, venue, year, authors
 
 
 def _parse_rosters(text: str) -> tuple[list[ProgramRoster], list[ProgramRoster]]:
@@ -420,20 +471,16 @@ def _parse_rosters(text: str) -> tuple[list[ProgramRoster], list[ProgramRoster]]
 
 
 def serialize_publications(corpus: Corpus) -> str:
-    """Render the publication records back to the line-oriented input form."""
-    lines = []
-    for pub in corpus.publications:
-        lines.append(
-            json.dumps(
-                {
-                    "id": pub.id,
-                    "venue": pub.venue,
-                    "year": pub.year,
-                    "authors": list(pub.authors),
-                },
-                ensure_ascii=False,
-            )
+    """Render the publications back to the line-oriented input form."""
+    lines = [
+        json.dumps(
+            {"id": pub_id, "venue": venue, "year": year, "authors": list(authors)},
+            ensure_ascii=False,
         )
+        for pub_id, venue, year, authors in zip(
+            corpus._ids, corpus._venues, corpus._years, corpus._authors
+        )
+    ]
     return "\n".join(lines) + "\n"
 
 

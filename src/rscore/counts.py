@@ -6,7 +6,8 @@ distinct papers. Co-authors from outside the roster never dilute the weight.
 
 The model needs only those whole numbers, so they are kept in one integer
 matrix of programs x reference venues. Exact rationals appear only in the
-per-faculty table, which is built from the corpus when it is first read.
+per-faculty table, built when first read. Both are numpy passes over the
+corpus's columns, with each roster member's authorships mapped once.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
-from operator import attrgetter
+from itertools import repeat
 
 import numpy as np
 
@@ -159,20 +159,19 @@ class CountsTable:
     def per_faculty_venue(self) -> Mapping[tuple[str, AuthorId, VenueId], Fraction]:
         """Nonzero ``faculty_venue`` weights keyed by (program, member, venue).
 
-        Built on first read by one more pass over the corpus, and ordered by
-        key: roster members are numbered in (program, member) order and
-        venue columns follow venue id order, so the tallies, sorted by
-        (member, column), come in key order. Papers are tallied per cell and
-        per number ``d`` of authors from the member's roster, and each
-        cell's tallies are summed exactly, in Python integers, into one
-        fraction.
+        Built on first read from the corpus's roster authorships, the
+        numpy arrays that the counts came from, and ordered by key: roster
+        members are renumbered in (program, member) order and venue columns
+        follow venue id order, so the tallies, sorted by (member, column),
+        come in key order. Papers are tallied per cell and per number ``d``
+        of authors from the member's roster, and each cell's tallies are
+        summed exactly, in Python integers, into one fraction.
         """
-        members = sorted(
-            (roster.program_id, member)
-            for roster in self.corpus.programs
-            for member in roster.faculty
-        )
-        member, column, same_roster, papers = self._faculty_tallies(members)
+        members = self.corpus._members
+        by_key = sorted(range(len(members)), key=members.__getitem__)
+        position = np.empty(len(members), dtype=np.int64)
+        position[by_key] = np.arange(len(members))
+        member, column, same_roster, papers = self._faculty_tallies(position)
         closes = np.ones(len(member), dtype=bool)
         closes[:-1] = (member[1:] != member[:-1]) | (column[1:] != column[:-1])
 
@@ -191,41 +190,31 @@ class CountsTable:
                 numerator, denominator = 0, 1
 
         # Object-array indexing gathers the key parts faster than a loop.
-        ids = np.array(members, dtype=object).reshape(-1, 2)[member[closes]]
+        ids = np.array(members, dtype=object).reshape(-1, 2)[by_key][member[closes]]
         venues = np.array(self.venue_index, dtype=object)[column[closes]]
         keys = zip(ids[:, 0].tolist(), ids[:, 1].tolist(), venues.tolist())
         return dict(zip(keys, weights))
 
     def _faculty_tallies(
-        self, members: list[tuple[str, AuthorId]]
+        self, position: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Papers per (member, column, d), in that order, as four arrays.
 
-        ``members`` numbers the roster members; ``d`` is the number of the
-        paper's authors on the member's roster. The per-author arrays live
-        only in this call, so they are gone before the table is built.
+        ``position`` renumbers the corpus's roster members; ``d`` is the
+        number of the paper's authors on the member's roster. The arrays
+        this call builds live only in it, so they are gone before the
+        table is built.
         """
-        number = {member: m for m, (_, member) in enumerate(members)}
-        home = np.array([self._rows[pid] for pid, _ in members], dtype=np.int64)
-        pubs = self.corpus.publications
-        authors = list(map(attrgetter("authors"), pubs))
-        member = np.fromiter(
-            map(number.get, chain.from_iterable(authors), repeat(-1)), dtype=np.int64
-        )
-        paper = np.repeat(
-            np.arange(len(pubs)), np.fromiter(map(len, authors), np.int64, len(pubs))
-        )
-        column = np.fromiter(
-            map(self._columns.get, map(attrgetter("venue"), pubs), repeat(-1)),
-            np.int64, len(pubs),
-        )[paper]
-        keep = (member >= 0) & (column >= 0)
-        member, paper, column = member[keep], paper[keep], column[keep]
+        paper, member, home = self.corpus._member_papers
+        column = _paper_columns(self.corpus, self._columns)[paper]
+        keep = column >= 0
+        paper, member, column = paper[keep], member[keep], column[keep]
         _, group, group_size = np.unique(
             paper * len(self.programs) + home[member],
             return_inverse=True, return_counts=True,
         )
         same_roster = group_size[group]
+        member = position[member]
 
         order = np.lexsort((same_roster, column, member))
         member, column, same_roster = member[order], column[order], same_roster[order]
@@ -249,21 +238,19 @@ def build_counts(
     venues outside the reference venue set contribute nothing anywhere.
     """
     columns = {venue: j for j, venue in enumerate(reference_venue_set(corpus))}
-    programs = corpus.programs
-    v = len(columns)
-    row_of = {
-        member: row for row, roster in enumerate(programs) for member in roster.faculty
-    }
+    p, v = len(corpus.programs), len(columns)
+    column = _paper_columns(corpus, columns)
+    paper, member, home = corpus._member_papers
+    row = home[member]
+    # One cell per distinct (paper, program) in a reference venue: co-authors
+    # from one roster count once. The keys come in paper order, so a stable
+    # sort is quick (np.unique would load a hash table of about 1.7 MB).
+    pairs = np.sort(paper * p + row, kind="stable")
+    pairs = pairs[(column[pairs // p] >= 0) & np.append(True, pairs[1:] != pairs[:-1])]
+    matrix = np.bincount(pairs % p * v + column[pairs // p], minlength=p * v)
+    return CountsTable(corpus, matrix.reshape(p, v), venue_mode)
 
-    # Flat (row * v + column) cell indices, one per (paper, home program).
-    cells: list[int] = []
-    for pub in corpus.publications:
-        j = columns.get(pub.venue)
-        if j is None:
-            continue
-        rows = {row_of.get(author, -1) for author in pub.authors}
-        rows.discard(-1)
-        cells.extend(row * v + j for row in rows)
 
-    matrix = np.bincount(np.array(cells, dtype=np.int64), minlength=len(programs) * v)
-    return CountsTable(corpus, matrix.reshape(len(programs), v), venue_mode)
+def _paper_columns(corpus: Corpus, columns: Mapping[VenueId, int]) -> np.ndarray:
+    """Each paper's venue column, -1 for a venue outside the reference set."""
+    return np.fromiter(map(columns.get, corpus._venues, repeat(-1)), np.int64, len(corpus._ids))

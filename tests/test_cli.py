@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from rscore import serialize_publications, serialize_rosters
+from rscore import parse_corpus, serialize_publications, serialize_rosters
 from rscore.cli import _COMMANDS, run
 
 from helpers import random_corpus
@@ -151,6 +151,24 @@ def test_compare_malformed_grades(walkthrough_args, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "grades.tsv:1" in captured.err
+
+
+def test_compare_names_grades_that_match_no_candidate(walkthrough_args, tmp_path, capsys):
+    # a mistyped id used to read as an ungraded program, without notice
+    grades = tmp_path / "grades.tsv"
+    grades.write_text("east\t7\nwe st\t6\nnowhere\t9\n", encoding="utf-8")
+    assert run(["compare", "--grades", str(grades), *walkthrough_args]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "program_id\tr_score\tgrade", "east\t1.000000\t7", "# spearman", "rho\tdegenerate"
+    ]
+    assert captured.err == "warning: grades for no candidate program: 'we st', 'nowhere'\n"
+
+
+def test_compare_warns_only_about_unmatched_grades(walkthrough_args, fixture_dir, capsys):
+    grades = ["--grades", str(fixture_dir / "grades.tsv")]
+    assert run(["compare", *grades, *walkthrough_args]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_compare_reads_grades_before_the_corpus(walkthrough_args, tmp_path, monkeypatch, capsys):
@@ -388,6 +406,32 @@ def test_per_faculty_table_built_only_by_counts(walkthrough_args, fixture_dir, m
     assert run(["counts", *walkthrough_args]) == 0
     assert built
     capsys.readouterr()
+
+
+def test_no_command_builds_publication_records(walkthrough_args, fixture_dir, monkeypatch, capsys):
+    # the pipeline reads the corpus columns; records are built only when read
+    from rscore import PublicationRecord
+
+    built = []
+    original = PublicationRecord.__init__
+    monkeypatch.setattr(
+        PublicationRecord, "__init__",
+        lambda record, *args: built.append(1) or original(record, *args),
+    )
+    grades = ["--grades", str(fixture_dir / "grades.tsv")]
+    for argv in (["validate"], ["counts"], ["counts", "--json"], ["venues"], ["rank"],
+                 ["stability"], ["compare", *grades]):
+        assert run([*argv, *walkthrough_args]) == 0, argv
+    assert built == []
+    capsys.readouterr()
+    corpus = parse_corpus(
+        (fixture_dir / "publications.jsonl").read_text(encoding="utf-8"),
+        (fixture_dir / "rosters.json").read_text(encoding="utf-8"),
+    )
+    serialize_publications(corpus)
+    assert built == []
+    assert len(corpus.publications) == 20
+    assert len(built) == 20
 
 
 def test_one_command_makes_one_reference_venue_pass(walkthrough_args, monkeypatch, capsys):

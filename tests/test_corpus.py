@@ -11,6 +11,8 @@ from rscore import (
     Corpus,
     CorpusError,
     EmptyVenueSetError,
+    VenueMode,
+    build_counts,
     parse_corpus,
     reference_venue_set,
     serialize_publications,
@@ -174,6 +176,34 @@ def test_well_formed_lines_skip_the_reference_path(monkeypatch):
         checked.clear()
         parse_corpus(end.join(lines) + end, SIMPLE_ROSTERS)
         assert checked == [" " + _pub_line("p3"), ""]
+
+
+def test_repeated_key_spaced_before_its_colon_is_rejected():
+    # A fifth key needs a fifth colon, wherever the spaces are.
+    line = '{"id": "p1", "venue": "v1", "id" : "p2", "year": 2010, "authors": ["a1"]}'
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(_pub_line("p0") + "\n" + line, SIMPLE_ROSTERS)
+    assert str(info.value) == "publications line 2: duplicate key 'id'"
+
+
+def test_colons_inside_ids_take_the_reference_path(monkeypatch):
+    import rscore.corpus
+
+    checked = []
+    original = rscore.corpus._parse_line
+    monkeypatch.setattr(
+        rscore.corpus, "_parse_line",
+        lambda line, *rest: checked.append(line) or original(line, *rest),
+    )
+    colons = _pub_line("doi:10.1/x", venue="conf:a", authors=("a1", "orcid:0000"))
+    text = "\n".join([_pub_line("p0"), colons, _pub_line("p2")])
+    corpus = parse_corpus(text, SIMPLE_ROSTERS)
+    assert checked == [colons]
+    assert [
+        (pub.id, pub.venue, pub.year, pub.authors) for pub in corpus.publications
+    ] == oracle_publications(text)
+    assert corpus.publications[1].authors == ("a1", "orcid:0000")
+    assert reference_venue_set(corpus) == ["conf:a", "v1"]
 
 
 def test_round_trip_keeps_line_separator_characters():
@@ -524,3 +554,105 @@ def test_serialize_then_parse_is_identity(seed, marks, window):
         serialize_publications(corpus), serialize_rosters(corpus), window
     )
     assert reparsed == corpus
+
+
+def _first_bad_record(pubs, window):
+    """(position, message) of the first record that breaks a corpus rule, or None.
+
+    The rules of :class:`Corpus`, one record after another and in order
+    within a record: a repeated id, no authors, a repeated author, then a
+    year outside ``window`` if one is given.
+    """
+    ids = []
+    for position, (pub_id, _, year, authors) in enumerate(pubs):
+        if pub_id in ids:
+            return position, f"duplicate publication id {pub_id!r}"
+        ids.append(pub_id)
+        if not authors:
+            return position, f"empty author list in record {pub_id!r}"
+        if len(set(authors)) < len(authors):
+            return position, f"duplicate author within record {pub_id!r}"
+        if window and not window[0] <= year <= window[1]:
+            return position, f"record {pub_id!r} year {year} outside window [{window[0]}, {window[1]}]"
+    return None
+
+
+_DEFECTS = st.lists(
+    st.tuples(
+        st.sampled_from(["duplicate id", "empty authors", "duplicate author", "outside window"]),
+        st.integers(1, 29),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mark=st.sampled_from(["", ":", "\u00e9", " : "]),
+    defects=_DEFECTS,
+    window=st.sampled_from([None, (2006, 2010)]),
+)
+def test_parsed_columns_agree_with_record_constructor(seed, mark, defects, window):
+    # The parser's columns and the columns Corpus(...) takes from records give
+    # the same corpus, counts and first error; a mark of ":" sends lines to
+    # the reference path, among lines that take the fast one.
+    base = random_corpus(np.random.default_rng(seed), n_papers=26)
+    pubs = [
+        (p.id + mark + "x" if i % 3 else p.id, p.venue + mark + "w", p.year, list(p.authors))
+        for i, p in enumerate(base.publications)
+    ]
+    refs = [(r.program_id, sorted(r.faculty)) for r in base.reference_programs]
+    cands = [(r.program_id, sorted(r.faculty)) for r in base.candidate_programs]
+    for defect, position in defects:
+        pub_id, venue, year, authors = pubs[position]
+        if defect == "duplicate id":
+            pub_id = pubs[position - 1][0]
+        elif defect == "empty authors":
+            authors = []
+        elif defect == "duplicate author":
+            authors = [*authors, authors[0]] if authors else authors
+        else:
+            year = 2020
+        pubs[position] = (pub_id, venue, year, authors)
+    rosters = serialize_rosters(make_corpus([], refs, cands))
+    text = "".join(
+        json.dumps({"id": p, "venue": v, "year": y, "authors": a}) + "\n" for p, v, y, a in pubs
+    )
+
+    # Parsing drops the records outside the window, so only the other rules
+    # can fail, and the message names the line.
+    bad_line = _first_bad_record(pubs, None)
+    if bad_line is None:
+        parsed = parse_corpus(text, rosters, window)
+    else:
+        position, message = bad_line
+        with pytest.raises(CorpusError) as info:
+            parse_corpus(text, rosters, window)
+        where = f"publications line {position + 1}"
+        assert str(info.value) in (f"{where}: {message}", f"{message} ({where})")
+
+    kept = [p for p in pubs if window is None or window[0] <= p[2] <= window[1]]
+    bad_record = _first_bad_record(kept, window)
+    if bad_record is not None:
+        with pytest.raises(CorpusError) as info:
+            make_corpus(kept, refs, cands, window)
+        assert str(info.value) == bad_record[1]
+    outside = _first_bad_record(pubs, (2006, 2010)) if window is None else None
+    if outside is not None:
+        with pytest.raises(CorpusError) as info:
+            make_corpus(pubs, refs, cands, (2006, 2010))
+        assert str(info.value) == outside[1]
+    if bad_line is not None or bad_record is not None:
+        return
+
+    built = make_corpus(kept, refs, cands, window)
+    assert parsed == built
+    assert parsed.dropped_outside_window == len(pubs) - len(kept)
+    for mode in VenueMode:
+        from_text, from_records = build_counts(parsed, mode), build_counts(built, mode)
+        assert from_text.venue_index == from_records.venue_index
+        assert from_text.matrix.dtype == from_records.matrix.dtype == np.int64
+        assert np.array_equal(from_text.matrix, from_records.matrix)
+        assert np.array_equal(from_text.venue_totals, from_records.venue_totals)
+    assert list(from_text.per_faculty_venue.items()) == list(from_records.per_faculty_venue.items())

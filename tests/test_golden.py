@@ -6,8 +6,8 @@ A hash is the first 16 hex digits of the sha256 of stdout. The model digests
 and the ``error:`` lines of failing stability prefixes are pinned as text.
 The venue mode changes only the venue totals that ``counts`` reports, so
 every other distinct-mode output equals its per-program output byte for byte.
-The names the package exports and its runtime dependencies are pinned too,
-so neither grows or shrinks by accident.
+The names the package exports, its runtime dependencies and the line count
+of its sources are pinned too, so none grows or shrinks by accident.
 Any change to counting, the model or formatting that alters one byte of
 output fails here.
 """
@@ -328,3 +328,11 @@ def test_runtime_dependencies_are_pinned():
         dependencies = tomllib.load(handle)["project"]["dependencies"]
     names = [re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in dependencies]
     assert names == ["numpy"]
+
+
+def test_source_line_count_is_pinned():
+    # The count `wc -l src/rscore/*.py` prints; a change that grows or shrinks
+    # the package updates it on purpose.
+    package = Path(rscore.__file__).resolve().parent
+    lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+    assert lines == 1883
