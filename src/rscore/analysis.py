@@ -182,12 +182,14 @@ class ComparisonReport:
     """Score-ordered rows with external grades, plus their rank correlation.
 
     ``rho`` is None when the correlation is undefined (for example when all
-    external grades are equal); ``degenerate`` marks that case.
+    external grades are equal); ``degenerate`` marks that case. ``unmatched``
+    holds the graded ids that name no scored program, in grades order.
     """
 
     rows: tuple[ComparisonRow, ...]
     rho: float | None
     degenerate: bool
+    unmatched: tuple[str, ...] = ()
 
 
 def compare_rankings(
@@ -214,6 +216,8 @@ def compare_rankings(
     common = [row for row in report.rows if row.program_id in grades]
     if not common:
         raise AnalysisError("no overlap between scored programs and external grades")
+    matched = {row.program_id for row in common}
+    unmatched = tuple(pid for pid in grades if pid not in matched)
 
     rows = tuple(
         ComparisonRow(
@@ -234,4 +238,4 @@ def compare_rankings(
             rho, degenerate = spearman(scored_pairs, grade_pairs), False
         except DegenerateRankingError:
             rho, degenerate = None, True
-    return ComparisonReport(rows=rows, rho=rho, degenerate=degenerate)
+    return ComparisonReport(rows=rows, rho=rho, degenerate=degenerate, unmatched=unmatched)

@@ -118,7 +118,7 @@ def _emit_json(payload: object) -> None:
 def _cmd_validate(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
     summary = {
-        "publications": len(corpus._ids),
+        "publications": corpus.publication_count,
         "reference_programs": len(corpus.reference_programs),
         "candidate_programs": len(corpus.candidate_programs),
         "venues": len(reference_venue_set(corpus)),
@@ -347,9 +347,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     grades = _read_grades(args.grades)
     score_report, _ = _score_candidates(args)
     comparison = compare_rankings(score_report, grades)
-    scored = {row.program_id for row in score_report.rows}
-    unmatched = ", ".join(repr(pid) for pid, _ in grades if pid not in scored)
-    if unmatched:
+    if comparison.unmatched:
+        unmatched = ", ".join(map(repr, comparison.unmatched))
         print(f"warning: grades for no candidate program: {unmatched}", file=sys.stderr)
     if args.json:
         _emit_json(

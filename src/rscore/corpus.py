@@ -3,9 +3,9 @@
 A corpus bundles publications with program rosters and optionally restricts
 them to a closed year window. It holds the publications as columns (ids,
 venues, years, author tuples) that the parser fills in one pass over the
-lines; the checks, the venue set and the counts read them with C-level
-iterators and numpy, and :class:`PublicationRecord` objects are built only
-when ``Corpus.publications`` is read. A roster is a reference or a candidate
+lines; the venue set and the counts read them with numpy, and
+:class:`PublicationRecord` objects are built only when
+``Corpus.publications`` is read. A roster is a reference or a candidate
 program because of the corpus list that holds it. All values are immutable
 after construction and safe to share between threads.
 
@@ -22,7 +22,7 @@ import logging
 import math
 import re
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -70,7 +70,8 @@ class Corpus:
     """Validated, immutable bundle of publications and program rosters.
 
     Built from :class:`PublicationRecord` objects, it keeps their fields as
-    columns; ``publications`` builds the records again on first read.
+    columns; ``publications`` builds the records again on first read. Its
+    fields are those columns, so ``dataclasses.replace`` raises ``TypeError``.
     ``reference_programs`` is ordered: its order is the priority used when
     stability sweeps take reference-set prefixes.
     """
@@ -90,9 +91,24 @@ class Corpus:
                  year_window: tuple[int, int] | None = None,
                  dropped_outside_window: int = 0) -> None:
         rows = [(pub.id, pub.venue, pub.year, pub.authors) for pub in publications]
-        _fill(self, list(zip(*rows)) or [()] * 4, reference_programs, candidate_programs,
-              year_window, dropped_outside_window)
+        ids, venues, years, authors = zip(*rows) if rows else ((),) * 4
+        self._set_fields(_ids=ids, _venues=venues, _years=years, _authors=authors,
+                         reference_programs=reference_programs,
+                         candidate_programs=candidate_programs, year_window=year_window,
+                         dropped_outside_window=dropped_outside_window)
         _check_structure(self)
+
+    def _set_fields(self, **values: object) -> None:
+        """Set every field by name and check the rosters; every corpus is made here."""
+        if values.keys() != {f.name for f in fields(self)}:
+            raise TypeError(f"Corpus fields are {[f.name for f in fields(self)]}")
+        vars(self).update(values)
+        _check_rosters(self)
+
+    @property
+    def publication_count(self) -> int:
+        """Number of publications, counted without building their records."""
+        return len(self._ids)
 
     @cached_property
     def publications(self) -> tuple[PublicationRecord, ...]:
@@ -119,6 +135,10 @@ class Corpus:
         home = np.repeat(np.arange(len(self.programs)), [len(r.faculty) for r in self.programs])
         return paper[member >= 0], member[member >= 0], home
 
+    def _paper_columns(self, columns: Mapping[VenueId, int]) -> np.ndarray:
+        """Each paper's venue column, -1 for a venue outside the reference set."""
+        return np.fromiter(map(columns.get, self._venues, repeat(-1)), np.int64, len(self._venues))
+
     @cached_property
     def _reference_venues(self) -> dict[VenueId, int]:
         """Papers with a reference-roster author, per venue in venue id order.
@@ -132,31 +152,11 @@ class Corpus:
         return dict(sorted(Counter(compress(self._venues, shared.tolist())).items()))
 
 
-def _fill(corpus: Corpus, columns: list[Sequence], *rest: object) -> None:
-    """Set the fields of ``corpus``: the id, venue, year and authors columns, then ``rest``."""
-    for name, value in zip((f.name for f in fields(Corpus)), (*map(tuple, columns), *rest)):
-        object.__setattr__(corpus, name, value)
-
-
 def _check_structure(corpus: Corpus) -> None:
-    """Enforce the structural invariants that hold for every corpus.
-
-    The publications are checked on whole columns with C-level passes; only
-    a corpus that fails one is walked record by record, to name its first
-    bad record.
-    """
-    _check_rosters(corpus)
-    ids, years, authors, window = corpus._ids, corpus._years, corpus._authors, corpus.year_window
-    if (
-        all(ids)
-        and len(set(ids)) == len(ids)
-        and all(authors)
-        and sum(map(len, map(frozenset, authors))) == sum(map(len, authors))
-        and (window is None or not years or window[0] <= min(years) and max(years) <= window[1])
-    ):
-        return
+    """Enforce the per-record invariants of a hand-built corpus."""
     seen_pubs: set[str] = set()
-    for pub_id, year, pub_authors in zip(ids, years, authors):
+    window = corpus.year_window
+    for pub_id, year, pub_authors in zip(corpus._ids, corpus._years, corpus._authors):
         if not pub_id:
             raise CorpusError("publication with empty id")
         if pub_id in seen_pubs:
@@ -236,15 +236,17 @@ def parse_corpus(
     if year_window is not None:
         inside = [lo <= year <= hi for year in columns[2]]
         dropped = inside.count(False)
-        columns = [list(compress(column, inside)) for column in columns]
+        columns = [compress(column, inside) for column in columns]
         if dropped:
             logger.warning("dropped %d publication record(s) outside year window [%d, %d]",
                            dropped, lo, hi)
 
     # The records were checked line by line, and those outside the window dropped.
+    ids, venues, years, authors = map(tuple, columns)
     corpus = object.__new__(Corpus)
-    _fill(corpus, columns, tuple(reference), tuple(candidates), year_window, dropped)
-    _check_rosters(corpus)
+    corpus._set_fields(_ids=ids, _venues=venues, _years=years, _authors=authors,
+                       reference_programs=tuple(reference), candidate_programs=tuple(candidates),
+                       year_window=year_window, dropped_outside_window=dropped)
     reference_venue_set(corpus)  # reject corpora with an empty venue set
     return corpus
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -206,7 +205,7 @@ class CountsTable:
         table is built.
         """
         paper, member, home = self.corpus._member_papers
-        column = _paper_columns(self.corpus, self._columns)[paper]
+        column = self.corpus._paper_columns(self._columns)[paper]
         keep = column >= 0
         paper, member, column = paper[keep], member[keep], column[keep]
         _, group, group_size = np.unique(
@@ -239,7 +238,7 @@ def build_counts(
     """
     columns = {venue: j for j, venue in enumerate(reference_venue_set(corpus))}
     p, v = len(corpus.programs), len(columns)
-    column = _paper_columns(corpus, columns)
+    column = corpus._paper_columns(columns)
     paper, member, home = corpus._member_papers
     row = home[member]
     # One cell per distinct (paper, program) in a reference venue: co-authors
@@ -249,8 +248,3 @@ def build_counts(
     pairs = pairs[(column[pairs // p] >= 0) & np.append(True, pairs[1:] != pairs[:-1])]
     matrix = np.bincount(pairs % p * v + column[pairs // p], minlength=p * v)
     return CountsTable(corpus, matrix.reshape(p, v), venue_mode)
-
-
-def _paper_columns(corpus: Corpus, columns: Mapping[VenueId, int]) -> np.ndarray:
-    """Each paper's venue column, -1 for a venue outside the reference set."""
-    return np.fromiter(map(columns.get, corpus._venues, repeat(-1)), np.int64, len(corpus._ids))

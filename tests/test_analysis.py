@@ -317,6 +317,12 @@ def test_compare_restricts_to_overlap_and_rejects_empty():
         compare_rankings(report, [("x", 7), ("y", 6)])
 
 
+def test_compare_names_unmatched_grades_in_grades_order():
+    report = _report([("a", 3.0, 1.0, 1), ("b", 2.0, 0.66, 2)])
+    assert compare_rankings(report, [("y", 1), ("a", 7), ("z", 6), ("b", 5)]).unmatched == ("y", "z")
+    assert compare_rankings(report, [("a", 7), ("b", 5)]).unmatched == ()
+
+
 def test_compare_duplicate_grades_entry_rejected():
     report = _report([("a", 3.0, 1.0, 1), ("b", 2.0, 0.66, 2)])
     with pytest.raises(AnalysisError, match="duplicate program id"):

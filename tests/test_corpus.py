@@ -186,6 +186,12 @@ def test_repeated_key_spaced_before_its_colon_is_rejected():
     assert str(info.value) == "publications line 2: duplicate key 'id'"
 
 
+def test_corpus_fields_are_set_by_name():
+    # Both constructors set the fields through one method that names them all.
+    with pytest.raises(TypeError, match="Corpus fields are"):
+        object.__new__(Corpus)._set_fields(_ids=(), reference_programs=(), candidate_programs=())
+
+
 def test_colons_inside_ids_take_the_reference_path(monkeypatch):
     import rscore.corpus
 
