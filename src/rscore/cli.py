@@ -1,20 +1,21 @@
 """Command-line interface: one subcommand per pipeline stage.
 
-Reports go to stdout, diagnostics to stderr. Identical inputs and flags
-produce byte-identical output; nothing time- or locale-dependent is emitted.
-Exit codes: 0 success, 1 data error, 2 usage error.
+Each subcommand describes its report once; ``_emit`` prints its tables as
+TSV or, with ``--json``, as one JSON document. Reports go to stdout,
+diagnostics to stderr. Identical inputs and flags produce byte-identical
+output; nothing time- or locale-dependent is emitted. Exit codes: 0 success,
+1 data error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -32,7 +33,10 @@ _VENUE_MODES = {
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -92,27 +96,60 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
         window = (args.year_from, args.year_to)
     pubs_text = _read_text(args.pubs, CorpusError)
     rosters_text = _read_text(args.rosters, CorpusError)
-    return parse_corpus(pubs_text, rosters_text, window)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
-
-
-def _fmt_exact(value: Fraction | int) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    corpus = parse_corpus(pubs_text, rosters_text, window)
+    if corpus.dropped_outside_window:
+        print(
+            f"warning: dropped {corpus.dropped_outside_window} publication record(s)"
+            f" outside year window [{args.year_from}, {args.year_to}]",
+            file=sys.stderr,
+        )
+    return corpus
 
 
 def _fmt_pct(rho: float) -> str:
     return f"{100.0 * rho:.2f}%"
 
 
-def _emit(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+class _Table:
+    """One report table, printed as TSV lines or as a JSON list of objects.
+
+    ``columns`` (space-separated) are the JSON keys and the TSV header.
+    ``template`` formats one tuple of ``rows`` as a TSV line; ``title``, if
+    given, is the ``# ...`` line printed above the header.
+    """
+
+    def __init__(self, columns: str, template: str, rows: Iterable[tuple],
+                 title: str | None = None) -> None:
+        self.columns = columns.split()
+        self.template = template
+        self.rows = rows
+        self.title = title
 
 
-def _emit_json(payload: object) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+def _emit(args: argparse.Namespace, payload: dict[str, object],
+          tsv_tail: Iterable[str] = ()) -> None:
+    """Print ``payload`` as one JSON document with ``--json``, else as TSV.
+
+    TSV is each table in order, then ``tsv_tail``; other values are JSON-only.
+    """
+    if args.json:
+        document = {
+            key: [dict(zip(value.columns, row)) for row in value.rows]
+            if isinstance(value, _Table) else value
+            for key, value in payload.items()
+        }
+        sys.stdout.write(json.dumps(document, indent=2) + "\n")
+        return
+    lines: list[str] = []
+    for table in payload.values():
+        if isinstance(table, _Table):
+            if table.title is not None:
+                lines.append(table.title)
+            lines.append("\t".join(table.columns))
+            lines += map(table.template.__mod__, table.rows)
+    lines += tsv_tail
+    sys.stdout.write("\n".join(lines))
+    sys.stdout.write("\n")  # ends the report without copying it
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -124,72 +161,45 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "venues": len(reference_venue_set(corpus)),
         "dropped_outside_window": corpus.dropped_outside_window,
     }
-    if args.json:
-        _emit_json(summary)
-    else:
-        _emit(["\t".join(f"{key}={value}" for key, value in summary.items())])
+    _emit(args, summary, ["\t".join(f"{key}={value}" for key, value in summary.items())])
     return 0
-
-
-def _counts_sections(counts: CountsTable):
-    # Rows hold the reference programs first, then the candidates.
-    n_reference = len(counts.reference_programs)
-    venue_rows = list(counts.per_venue.items())
-    program_rows = [
-        (pid, "reference" if row < n_reference else "candidate", total)
-        for row, (pid, total) in enumerate(counts.per_program.items())
-    ]
-    program_venue_rows = counts.per_program_venue.items()
-    # The per-faculty table is already in (program, faculty, venue) order.
-    table = counts.per_faculty_venue
-    faculty_rows = zip(table, map(Fraction.as_integer_ratio, table.values()))
-    return venue_rows, program_rows, program_venue_rows, faculty_rows
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
     counts = build_counts(corpus, _VENUE_MODES[args.venue_mode])
-    venue_rows, program_rows, program_venue_rows, faculty_rows = _counts_sections(counts)
-    if args.json:
-        _emit_json(
-            {
-                "venue_mode": counts.venue_mode.value,
-                "venue_totals": [
-                    {"venue": v, "count": float(c), "exact": _fmt_exact(c)}
-                    for v, c in venue_rows
-                ],
-                "program_totals": [
-                    {"program": p, "role": role, "count": float(c), "exact": _fmt_exact(c)}
-                    for p, role, c in program_rows
-                ],
-                "program_venue": [
-                    {"program": p, "venue": v, "count": float(c), "exact": _fmt_exact(c)}
-                    for (p, v), c in program_venue_rows
-                ],
-                "faculty_venue": [
-                    {"program": p, "faculty": f, "venue": v, "count": n / d,
-                     "exact": f"{n}/{d}"}
-                    for (p, f, v), (n, d) in faculty_rows
-                ],
-            }
-        )
-        return 0
-    lines = [f"# venue_totals\tmode={counts.venue_mode.value}", "venue\tcount\texact"]
-    lines += [f"{v}\t{_fmt(float(c))}\t{_fmt_exact(c)}" for v, c in venue_rows]
-    lines += ["# program_totals", "program\trole\tcount\texact"]
-    lines += [
-        f"{p}\t{role}\t{_fmt(float(c))}\t{_fmt_exact(c)}" for p, role, c in program_rows
-    ]
-    lines += ["# program_venue", "program\tvenue\tcount\texact"]
-    lines += [
-        f"{p}\t{v}\t{_fmt(float(c))}\t{_fmt_exact(c)}" for (p, v), c in program_venue_rows
-    ]
-    lines += ["# faculty_venue", "program\tfaculty\tvenue\tcount\texact"]
-    # n / d is the correctly rounded float that float(Fraction(n, d)) gives.
-    lines += [
-        f"{p}\t{f}\t{v}\t{n / d:.6f}\t{n}/{d}" for (p, f, v), (n, d) in faculty_rows
-    ]
-    _emit(lines)
+    mode = counts.venue_mode.value
+    # Rows hold the reference programs first, then the candidates.
+    n_reference = len(counts.reference_programs)
+    # The per-faculty table is already in (program, faculty, venue) order.
+    faculty = counts.per_faculty_venue
+    ratios = map(Fraction.as_integer_ratio, faculty.values())
+    # Whole-paper counts are ints, so their exact form is "c/1".
+    _emit(args, {
+        "venue_mode": mode,
+        "venue_totals": _Table(
+            "venue count exact", "%s\t%.6f\t%s",
+            ((v, float(c), f"{c}/1") for v, c in counts.per_venue.items()),
+            f"# venue_totals\tmode={mode}",
+        ),
+        "program_totals": _Table(
+            "program role count exact", "%s\t%s\t%.6f\t%s",
+            ((p, "reference" if row < n_reference else "candidate", float(c), f"{c}/1")
+             for row, (p, c) in enumerate(counts.per_program.items())),
+            "# program_totals",
+        ),
+        "program_venue": _Table(
+            "program venue count exact", "%s\t%s\t%.6f\t%s",
+            ((p, v, float(c), f"{c}/1") for (p, v), c in counts.per_program_venue.items()),
+            "# program_venue",
+        ),
+        # n / d is the correctly rounded float that float(Fraction(n, d)) gives.
+        "faculty_venue": _Table(
+            "program faculty venue count exact", "%s\t%s\t%s\t%.6f\t%s",
+            ((p, f, v, n / d, f"{n}/{d}") for (p, f, v), (n, d) in zip(faculty, ratios)),
+            "# faculty_venue",
+        ),
+    })
     return 0
 
 
@@ -200,37 +210,23 @@ def _build_model(args: argparse.Namespace) -> tuple[Corpus, CountsTable, Reputat
     return corpus, counts, model
 
 
-def _matrix_lines(name: str, array: np.ndarray) -> list[str]:
-    lines = [f"# {name}"]
-    for row in np.atleast_2d(array):
-        lines.append("\t".join(f"{value:.17g}" for value in row))
-    return lines
-
-
 def _cmd_venues(args: argparse.Namespace) -> int:
     _, _, model = _build_model(args)
+    if args.dump_matrices:  # an audit dump, TSV even with --json
+        lines = ["# program_index", *model.program_index, "# venue_index", *model.venue_index]
+        for name, array in (("alpha (venue x program)", model.alpha),
+                            ("beta (program x venue)", model.beta), ("p_prime", model.p_prime),
+                            ("gamma", model.gamma), ("nu", model.nu)):
+            lines.append(f"# {name}")
+            lines += ("\t".join(f"{value:.17g}" for value in row) for row in np.atleast_2d(array))
+        sys.stdout.write("\n".join(lines))
+        sys.stdout.write("\n")
+        return 0
     ranked = sorted(zip(model.venue_index, model.nu), key=lambda item: (-item[1], item[0]))
-    if args.dump_matrices:
-        lines = ["# program_index", *model.program_index]
-        lines += ["# venue_index", *model.venue_index]
-        lines += _matrix_lines("alpha (venue x program)", model.alpha)
-        lines += _matrix_lines("beta (program x venue)", model.beta)
-        lines += _matrix_lines("p_prime", model.p_prime)
-        lines += _matrix_lines("gamma", model.gamma)
-        lines += _matrix_lines("nu", model.nu)
-        _emit(lines)
-        return 0
-    if args.json:
-        _emit_json(
-            {
-                "model_digest": model.digest,
-                "venues": [{"venue": v, "nu": float(nu)} for v, nu in ranked],
-            }
-        )
-        return 0
-    lines = ["venue\tnu"]
-    lines += [f"{venue}\t{_fmt(float(nu))}" for venue, nu in ranked]
-    _emit(lines)
+    _emit(args, {
+        "model_digest": model.digest,
+        "venues": _Table("venue nu", "%s\t%.6f", ((v, float(nu)) for v, nu in ranked)),
+    })
     return 0
 
 
@@ -246,37 +242,17 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     report, model = _score_candidates(args)
     if report.zero_scores:
         print("warning: every candidate scored zero", file=sys.stderr)
-    if args.json:
-        _emit_json(
-            {
-                "model_digest": model.digest,
-                "zero_scores": report.zero_scores,
-                "rows": [
-                    {
-                        "program_id": row.program_id,
-                        "faculty_count": row.faculty_count,
-                        "raw_score": row.raw_score,
-                        "r_score": row.r_score,
-                        "r_score_per_faculty": row.r_score_per_faculty,
-                        "rank_total": row.rank_total,
-                        "rank_per_faculty": row.rank_per_faculty,
-                    }
-                    for row in report.rows
-                ],
-            }
-        )
-        return 0
-    lines = [
-        "program_id\tfaculty_count\traw_score\tr_score\tr_score_per_faculty"
-        "\trank_total\trank_per_faculty"
-    ]
-    lines += [
-        f"{row.program_id}\t{row.faculty_count}\t{_fmt(row.raw_score)}"
-        f"\t{_fmt(row.r_score)}\t{_fmt(row.r_score_per_faculty)}"
-        f"\t{row.rank_total}\t{row.rank_per_faculty}"
-        for row in report.rows
-    ]
-    _emit(lines)
+    _emit(args, {
+        "model_digest": model.digest,
+        "zero_scores": report.zero_scores,
+        "rows": _Table(
+            "program_id faculty_count raw_score r_score r_score_per_faculty"
+            " rank_total rank_per_faculty",
+            "%s\t%s\t%.6f\t%.6f\t%.6f\t%s\t%s",
+            ((r.program_id, r.faculty_count, r.raw_score, r.r_score, r.r_score_per_faculty,
+              r.rank_total, r.rank_per_faculty) for r in report.rows),
+        ),
+    })
     return 0
 
 
@@ -284,31 +260,15 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
     k = args.k if args.k is not None else len(corpus.reference_programs)
     report = stability_sweep(corpus, k)
-    comparisons = list(report.adjacent) + [report.first_vs_last]
-    if args.json:
-        _emit_json(
-            {
-                "sizes": list(report.sizes),
-                "comparisons": [
-                    {
-                        "comparison": f"R_Top({i}) versus R_Top({j})",
-                        "rho": rho,
-                        "agreement_pct": _fmt_pct(rho),
-                    }
-                    for i, j, rho in comparisons
-                ],
-                "rankings": {
-                    str(size): list(report.rankings[size]) for size in report.sizes
-                },
-            }
-        )
-        return 0
-    lines = ["comparison\trho\tagreement_pct"]
-    lines += [
-        f"R_Top({i}) versus R_Top({j})\t{_fmt(rho)}\t{_fmt_pct(rho)}"
-        for i, j, rho in comparisons
-    ]
-    _emit(lines)
+    comparisons = [*report.adjacent, report.first_vs_last]
+    _emit(args, {
+        "sizes": list(report.sizes),
+        "comparisons": _Table(
+            "comparison rho agreement_pct", "%s\t%.6f\t%s",
+            ((f"R_Top({i}) versus R_Top({j})", rho, _fmt_pct(rho)) for i, j, rho in comparisons),
+        ),
+        "rankings": {str(size): list(report.rankings[size]) for size in report.sizes},
+    })
     return 0
 
 
@@ -350,34 +310,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if comparison.unmatched:
         unmatched = ", ".join(map(repr, comparison.unmatched))
         print(f"warning: grades for no candidate program: {unmatched}", file=sys.stderr)
-    if args.json:
-        _emit_json(
-            {
-                "rows": [
-                    {"program_id": row.program_id, "r_score": row.r_score,
-                     "grade": row.grade}
-                    for row in comparison.rows
-                ],
-                "rho": comparison.rho,
-                "agreement_pct": None
-                if comparison.rho is None
-                else _fmt_pct(comparison.rho),
-                "degenerate": comparison.degenerate,
-            }
-        )
-        return 0
-    lines = ["program_id\tr_score\tgrade"]
-    lines += [
-        f"{row.program_id}\t{_fmt(row.r_score)}\t{row.grade:g}"
-        for row in comparison.rows
-    ]
-    lines.append("# spearman")
+    rho = comparison.rho
     if comparison.degenerate:
-        lines.append("rho\tdegenerate")
+        spearman = ["rho\tdegenerate"]
     else:
-        lines.append(f"rho\t{_fmt(comparison.rho)}")
-        lines.append(f"agreement_pct\t{_fmt_pct(comparison.rho)}")
-    _emit(lines)
+        spearman = [f"rho\t{rho:.6f}", f"agreement_pct\t{_fmt_pct(rho)}"]
+    _emit(args, {
+        "rows": _Table(
+            "program_id r_score grade", "%s\t%.6f\t%g",
+            ((r.program_id, r.r_score, r.grade) for r in comparison.rows),
+        ),
+        "rho": rho,
+        "agreement_pct": None if rho is None else _fmt_pct(rho),
+        "degenerate": comparison.degenerate,
+    }, ["# spearman", *spearman])
     return 0
 
 
@@ -406,7 +352,6 @@ def run(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)
     except (RScoreError, OSError) as exc:

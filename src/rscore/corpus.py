@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import json.scanner
-import logging
 import math
 import re
 from collections import Counter
@@ -31,8 +30,6 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import CorpusError, EmptyVenueSetError
-
-logger = logging.getLogger(__name__)
 
 AuthorId = str
 VenueId = str
@@ -218,8 +215,8 @@ def parse_corpus(
     ``authors``, each once. ``rosters`` is a single JSON document with a
     ``programs`` array; no object in it may repeat a key. Every id must be
     valid Unicode, so one holding a lone surrogate is rejected. Records outside
-    ``year_window`` (inclusive on both ends) are dropped and counted, with a
-    logged warning.
+    ``year_window`` (inclusive on both ends) are dropped and counted in
+    ``dropped_outside_window``; the caller decides whether to warn.
 
     Raises :class:`CorpusError` on any malformed or inconsistent input; line
     numbers are included for per-record problems.
@@ -237,9 +234,6 @@ def parse_corpus(
         inside = [lo <= year <= hi for year in columns[2]]
         dropped = inside.count(False)
         columns = [compress(column, inside) for column in columns]
-        if dropped:
-            logger.warning("dropped %d publication record(s) outside year window [%d, %d]",
-                           dropped, lo, hi)
 
     # The records were checked line by line, and those outside the window dropped.
     ids, venues, years, authors = map(tuple, columns)

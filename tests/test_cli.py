@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -119,6 +121,14 @@ def test_stability_too_large_k_is_data_error(walkthrough_args, capsys):
 def test_stability_k_zero_is_usage_error(walkthrough_args, capsys):
     assert run(["stability", "--k", "0", *walkthrough_args]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_stability_k_not_an_integer_names_the_option(walkthrough_args, capsys):
+    assert run(["stability", "--k", "x", *walkthrough_args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --k: must be an integer, got 'x'" in captured.err
+    assert "_positive_int" not in captured.err
 
 
 def test_compare_walkthrough(walkthrough_args, fixture_dir, capsys):
@@ -256,6 +266,16 @@ def test_year_window_flags(walkthrough_args, capsys):
     out = capsys.readouterr().out
     assert "publications=14" in out
     assert "dropped_outside_window=6" in out
+
+
+def test_every_run_warns_on_its_own_stderr_about_window_drops(walkthrough_args):
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["validate", "--from", "2009", "--to", "2010", *walkthrough_args]) == 0
+        assert err.getvalue() == (
+            "warning: dropped 6 publication record(s) outside year window [2009, 2010]\n"
+        )
 
 
 def test_one_sided_window_is_usage_error(walkthrough_args, capsys):

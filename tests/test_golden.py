@@ -6,6 +6,8 @@ A hash is the first 16 hex digits of the sha256 of stdout. The model digests
 and the ``error:`` lines of failing stability prefixes are pinned as text.
 The venue mode changes only the venue totals that ``counts`` reports, so
 every other distinct-mode output equals its per-program output byte for byte.
+On that random corpus and three smaller seeded ones, the TSV and ``--json``
+forms must carry the same tables: same names, headers and rows, in order.
 The names the package exports, its runtime dependencies and the line count
 of its sources are pinned too, so none grows or shrinks by accident.
 Any change to counting, the model or formatting that alters one byte of
@@ -17,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import json
 import re
 from pathlib import Path
 
@@ -266,6 +269,68 @@ def test_failing_sweep_error_line_matches_golden(inputs, capsys, corpus, mode):
     assert errors == [GOLDEN_ERRORS[corpus, mode]]
 
 
+# The JSON key of the one table each command prints without a "# name" line.
+UNTITLED_TABLE = {"venues": "venues", "rank": "rows", "stability": "comparisons", "compare": "rows"}
+TSV_ONLY_TABLES = {"spearman"}
+
+
+@pytest.fixture(scope="module")
+def table_inputs(inputs, tmp_path_factory):
+    """The golden random corpus and three smaller seeded ones."""
+    paths = {"random": inputs["random"]}
+    for seed in (1, 2, 3):
+        corpus = random_corpus(np.random.default_rng(seed), n_venues=20, n_papers=400, hub=True)
+        grades = "".join(
+            f"{roster.program_id}\t{index / 4}\n"
+            for index, roster in enumerate(corpus.candidate_programs)
+        )
+        paths[f"seed{seed}"] = _write(tmp_path_factory.mktemp(f"seed{seed}"), corpus, grades)
+    return paths
+
+
+def _tsv_tables(text, untitled):
+    """{name: [header, *rows]} of a TSV report; a "# name" line starts a table."""
+    tables, rows = {}, None
+    for line in text.splitlines():
+        if line.startswith("# "):
+            rows = tables[line[2:].split("\t")[0]] = []
+        elif rows is None:
+            rows = tables[untitled] = [line.split("\t")]
+        else:
+            rows.append(line.split("\t"))
+    return tables
+
+
+def _tsv_cell(key, value):
+    if isinstance(value, float):
+        return f"{value:g}" if key == "grade" else f"{value:.6f}"
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "corpus,command",
+    list(itertools.product(("random", "seed1", "seed2", "seed3"),
+                           ("counts", "venues", "rank", "stability", "compare"))),
+)
+def test_tsv_and_json_carry_the_same_tables(table_inputs, capsys, corpus, command):
+    text = {}
+    for fmt in FORMATS:
+        assert run(_argv(table_inputs, corpus, command, "per-program", fmt)) == 0
+        text[fmt] = capsys.readouterr().out
+    tsv = _tsv_tables(text["tsv"], UNTITLED_TABLE.get(command))
+    payload = json.loads(text["json"])
+    json_tables = {
+        key: value for key, value in payload.items()
+        if isinstance(value, list) and all(isinstance(row, dict) for row in value)
+    }
+    assert set(json_tables) == set(tsv) - TSV_ONLY_TABLES
+    for name, rows in json_tables.items():
+        header, *tsv_rows = tsv[name]
+        assert rows, name
+        assert all(list(row) == header for row in rows), name
+        assert [[_tsv_cell(k, v) for k, v in row.items()] for row in rows] == tsv_rows, name
+
+
 PUBLIC_API = [
     "AnalysisError",
     "ComparisonReport",
@@ -335,4 +400,4 @@ def test_source_line_count_is_pinned():
     # the package updates it on purpose.
     package = Path(rscore.__file__).resolve().parent
     lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
-    assert lines == 1882
+    assert lines == 1821
