@@ -22,7 +22,7 @@ import math
 import re
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -71,6 +71,11 @@ class Corpus:
     fields are those columns, so ``dataclasses.replace`` raises ``TypeError``.
     ``reference_programs`` is ordered: its order is the priority used when
     stability sweeps take reference-set prefixes.
+
+    Records and rosters pass the rules of :func:`parse_corpus`, located as
+    ``publication #N``, ``reference program #N`` or ``candidate program #N``.
+    So a corpus built here equals the parse of its own JSON text, or both
+    raise the same first error, with the same text apart from its location.
     """
 
     _ids: tuple[str, ...] = field(repr=False)
@@ -83,24 +88,48 @@ class Corpus:
     dropped_outside_window: int = field(default=0, compare=False)
 
     def __init__(self, publications: Iterable[PublicationRecord],
-                 reference_programs: tuple[ProgramRoster, ...],
-                 candidate_programs: tuple[ProgramRoster, ...],
-                 year_window: tuple[int, int] | None = None,
-                 dropped_outside_window: int = 0) -> None:
-        rows = [(pub.id, pub.venue, pub.year, pub.authors) for pub in publications]
-        ids, venues, years, authors = zip(*rows) if rows else ((),) * 4
-        self._set_fields(_ids=ids, _venues=venues, _years=years, _authors=authors,
-                         reference_programs=reference_programs,
-                         candidate_programs=candidate_programs, year_window=year_window,
-                         dropped_outside_window=dropped_outside_window)
-        _check_structure(self)
+                 reference_programs: Iterable[ProgramRoster],
+                 candidate_programs: Iterable[ProgramRoster],
+                 year_window: tuple[int, int] | None = None) -> None:
+        _check_window(year_window)
+        seen: set[str] = set()
+        # A record's fields are named as the keys of its JSON object.
+        rows = [_check_record(vars(pub), f"publication #{n}", seen)
+                for n, pub in enumerate(publications, start=1)]
+        reference, candidates = (
+            [_check_roster(r.program_id, role, r.faculty, f"{role} program #{n}")
+             for n, r in enumerate(programs, start=1)]
+            for role, programs in (("reference", reference_programs),
+                                   ("candidate", candidate_programs))
+        )
+        self._finish(list(zip(*rows)) or [()] * 4, reference, candidates, year_window)
 
-    def _set_fields(self, **values: object) -> None:
-        """Set every field by name and check the rosters; every corpus is made here."""
-        if values.keys() != {f.name for f in fields(self)}:
-            raise TypeError(f"Corpus fields are {[f.name for f in fields(self)]}")
-        vars(self).update(values)
-        _check_rosters(self)
+    def _finish(self, columns: list, reference: list[ProgramRoster],
+                candidates: list[ProgramRoster], year_window: tuple[int, int] | None) -> None:
+        """Every corpus ends here: drop the checked records outside the window,
+        set every field, and check the rosters together and the venue set."""
+        dropped = 0
+        if year_window is not None:
+            lo, hi = year_window
+            inside = [lo <= year <= hi for year in columns[2]]
+            dropped = inside.count(False)
+            columns = [compress(column, inside) for column in columns]
+        ids, venues, years, authors = map(tuple, columns)
+        vars(self).update(_ids=ids, _venues=venues, _years=years, _authors=authors,
+                          reference_programs=tuple(reference), candidate_programs=tuple(candidates),
+                          year_window=year_window, dropped_outside_window=dropped)
+        programs: set[str] = set()
+        home: dict[AuthorId, str] = {}
+        for roster in self.programs:
+            if roster.program_id in programs:
+                raise CorpusError(f"duplicate program id {roster.program_id!r}")
+            programs.add(roster.program_id)
+            for member in roster.faculty:
+                if member in home:
+                    raise CorpusError(f"faculty member {member!r} appears in both "
+                                      f"{home[member]!r} and {roster.program_id!r}")
+                home[member] = roster.program_id
+        reference_venue_set(self)
 
     @property
     def publication_count(self) -> int:
@@ -149,53 +178,14 @@ class Corpus:
         return dict(sorted(Counter(compress(self._venues, shared.tolist())).items()))
 
 
-def _check_structure(corpus: Corpus) -> None:
-    """Enforce the per-record invariants of a hand-built corpus."""
-    seen_pubs: set[str] = set()
-    window = corpus.year_window
-    for pub_id, year, pub_authors in zip(corpus._ids, corpus._years, corpus._authors):
-        if not pub_id:
-            raise CorpusError("publication with empty id")
-        if pub_id in seen_pubs:
-            raise CorpusError(f"duplicate publication id {pub_id!r}")
-        seen_pubs.add(pub_id)
-        if not pub_authors:
-            raise CorpusError(f"empty author list in record {pub_id!r}")
-        if len(set(pub_authors)) != len(pub_authors):
-            raise CorpusError(f"duplicate author within record {pub_id!r}")
-        if window is not None and not window[0] <= year <= window[1]:
-            lo, hi = window
-            raise CorpusError(f"record {pub_id!r} year {year} outside window [{lo}, {hi}]")
-
-
-def _check_rosters(corpus: Corpus) -> None:
-    """No empty or repeated program id, no empty roster, no member on two rosters."""
-    seen_programs: set[str] = set()
-    author_home: dict[str, str] = {}
-    for roster in corpus.programs:
-        if not roster.program_id:
-            raise CorpusError("empty program id")
-        if roster.program_id in seen_programs:
-            raise CorpusError(f"duplicate program id {roster.program_id!r}")
-        seen_programs.add(roster.program_id)
-        if not roster.faculty:
-            raise CorpusError(f"empty roster for program {roster.program_id!r}")
-        for author in roster.faculty:
-            if author in author_home:
-                raise CorpusError(
-                    f"faculty member {author!r} appears in both "
-                    f"{author_home[author]!r} and {roster.program_id!r}"
-                )
-            author_home[author] = roster.program_id
-
-
 def reference_venue_set(corpus: Corpus) -> list[VenueId]:
     """Venues with at least one publication by reference-program faculty.
 
     Returns the venue ids in lexicographic order; this ordering fixes matrix
     indices everywhere downstream. Raises :class:`EmptyVenueSetError` when no
     reference faculty member published anything, which makes the corpus
-    unusable for reputation propagation.
+    unusable for reputation propagation; both constructors call it, so no
+    :class:`Corpus` has an empty venue set.
     """
     venues = corpus._reference_venues
     if not venues:
@@ -214,35 +204,26 @@ def parse_corpus(
     at LF (CRLF accepted), with exactly the keys ``id``, ``venue``, ``year``,
     ``authors``, each once. ``rosters`` is a single JSON document with a
     ``programs`` array; no object in it may repeat a key. Every id must be
-    valid Unicode, so one holding a lone surrogate is rejected. Records outside
-    ``year_window`` (inclusive on both ends) are dropped and counted in
-    ``dropped_outside_window``; the caller decides whether to warn.
+    valid Unicode, so one holding a lone surrogate is rejected, and ids are
+    trimmed. Records outside ``year_window`` (inclusive on both ends) are
+    dropped and counted in ``dropped_outside_window``; the caller decides
+    whether to warn. ``Corpus(...)`` applies the same rules to records and
+    rosters built in code.
 
     Raises :class:`CorpusError` on any malformed or inconsistent input; line
     numbers are included for per-record problems.
     """
-    if year_window is not None:
-        lo, hi = year_window
-        if lo > hi:
-            raise CorpusError(f"empty year window [{lo}, {hi}]")
-
+    _check_window(year_window)
     columns = _parse_publications(publications)
     reference, candidates = _parse_rosters(rosters)
-
-    dropped = 0
-    if year_window is not None:
-        inside = [lo <= year <= hi for year in columns[2]]
-        dropped = inside.count(False)
-        columns = [compress(column, inside) for column in columns]
-
-    # The records were checked line by line, and those outside the window dropped.
-    ids, venues, years, authors = map(tuple, columns)
     corpus = object.__new__(Corpus)
-    corpus._set_fields(_ids=ids, _venues=venues, _years=years, _authors=authors,
-                       reference_programs=tuple(reference), candidate_programs=tuple(candidates),
-                       year_window=year_window, dropped_outside_window=dropped)
-    reference_venue_set(corpus)  # reject corpora with an empty venue set
+    corpus._finish(columns, reference, candidates, year_window)
     return corpus
+
+
+def _check_window(year_window: tuple[int, int] | None) -> None:
+    if year_window is not None and year_window[0] > year_window[1]:
+        raise CorpusError(f"empty year window [{year_window[0]}, {year_window[1]}]")
 
 
 def _clean_id(value: object, what: str, where: str) -> str:
@@ -373,11 +354,7 @@ def _parse_publications(text: str) -> list[list]:
 
 def _parse_line(line: str, lineno: int, seen: set[str]) -> tuple | None:
     """Check one line rule by rule: its (id, venue, year, authors), ``None`` if
-    blank, or its error.
-
-    ``seen`` holds the publication ids of the lines before; the line's id is
-    added to it.
-    """
+    blank, or its error."""
     if not line.strip():
         return None
     where = f"publications line {lineno}"
@@ -390,7 +367,13 @@ def _parse_line(line: str, lineno: int, seen: set[str]) -> tuple | None:
     missing = _PUBLICATION_KEYS - set(raw)
     if missing:
         raise CorpusError(f"{where}: missing keys {sorted(missing)}")
+    return _check_record(raw, where, seen)
 
+
+def _check_record(raw: Mapping[str, object], where: str,
+                  seen: set[str]) -> tuple[str, VenueId, int, tuple[AuthorId, ...]]:
+    """A record's cleaned (id, venue, year, authors), or its error; ``seen``
+    holds the ids of the records before, and the record's id is added."""
     pub_id = _clean_id(raw["id"], "publication id", where)
     if pub_id in seen:
         raise CorpusError(f"{where}: duplicate publication id {pub_id!r}")
@@ -400,7 +383,7 @@ def _parse_line(line: str, lineno: int, seen: set[str]) -> tuple | None:
     if isinstance(year, bool) or not isinstance(year, int):
         raise CorpusError(f"{where}: year must be an integer, got {year!r}")
     raw_authors = raw["authors"]
-    if not isinstance(raw_authors, list):
+    if not isinstance(raw_authors, (list, tuple)):
         raise CorpusError(f"{where}: authors must be an array")
     if not raw_authors:
         raise CorpusError(f"empty author list in record {pub_id!r} ({where})")
@@ -408,6 +391,22 @@ def _parse_line(line: str, lineno: int, seen: set[str]) -> tuple | None:
     if len(set(authors)) != len(authors):
         raise CorpusError(f"duplicate author within record {pub_id!r} ({where})")
     return pub_id, venue, year, authors
+
+
+def _check_roster(raw_id: object, role: object, raw_faculty: object,
+                  where: str) -> ProgramRoster:
+    """One roster, cleaned, or its error; ``_finish`` checks rosters together."""
+    program_id = _clean_id(raw_id, "program id", where)
+    if role not in ("reference", "candidate"):
+        raise CorpusError(f"{where}: role must be 'reference' or 'candidate', got {role!r}")
+    if not isinstance(raw_faculty, (list, tuple, set, frozenset)):
+        raise CorpusError(f"{where}: faculty must be an array")
+    if not raw_faculty:
+        raise CorpusError(f"empty roster for program {program_id!r} ({where})")
+    faculty = [_clean_id(a, "author id", where) for a in raw_faculty]
+    if len(set(faculty)) != len(faculty):
+        raise CorpusError(f"{where}: duplicate faculty member in {program_id!r}")
+    return ProgramRoster(program_id, frozenset(faculty))
 
 
 def _parse_rosters(text: str) -> tuple[list[ProgramRoster], list[ProgramRoster]]:
@@ -433,22 +432,7 @@ def _parse_rosters(text: str) -> tuple[list[ProgramRoster], list[ProgramRoster]]
         if missing:
             raise CorpusError(f"{where}: missing keys {sorted(missing)}")
 
-        program_id = _clean_id(entry["id"], "program id", where)
-        role = entry["role"]
-        if role not in ("reference", "candidate"):
-            raise CorpusError(
-                f"{where}: role must be 'reference' or 'candidate', got {role!r}"
-            )
-
-        raw_faculty = entry["faculty"]
-        if not isinstance(raw_faculty, list):
-            raise CorpusError(f"{where}: faculty must be an array")
-        if not raw_faculty:
-            raise CorpusError(f"empty roster for program {program_id!r} ({where})")
-        faculty = [_clean_id(a, "author id", where) for a in raw_faculty]
-        if len(set(faculty)) != len(faculty):
-            raise CorpusError(f"{where}: duplicate faculty member in {program_id!r}")
-
+        roster = _check_roster(entry["id"], entry["role"], entry["faculty"], where)
         rank_hint = entry.get("rank_hint")
         if rank_hint is not None:
             if isinstance(rank_hint, bool) or not isinstance(rank_hint, int):
@@ -456,8 +440,7 @@ def _parse_rosters(text: str) -> tuple[list[ProgramRoster], list[ProgramRoster]]
             if rank_hint < 1:
                 raise CorpusError(f"{where}: rank_hint must be >= 1, got {rank_hint}")
 
-        roster = ProgramRoster(program_id, frozenset(faculty))
-        if role == "candidate":
+        if entry["role"] == "candidate":
             candidates.append(roster)
         else:
             reference.append((math.inf if rank_hint is None else rank_hint, roster))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -187,9 +189,18 @@ def test_repeated_key_spaced_before_its_colon_is_rejected():
 
 
 def test_corpus_fields_are_set_by_name():
-    # Both constructors set the fields through one method that names them all.
-    with pytest.raises(TypeError, match="Corpus fields are"):
-        object.__new__(Corpus)._set_fields(_ids=(), reference_programs=(), candidate_programs=())
+    # Both constructors end in one method that sets every dataclass field on
+    # the instance, with or without a year window.
+    lines = "\n".join([_pub_line("p1", year=2007), _pub_line("p2", year=2009)])
+    pubs = [("p1", "v1", 2007, ["a1"]), ("p2", "v1", 2009, ["a1"])]
+    corpora = [
+        parse_corpus(lines, SIMPLE_ROSTERS),
+        parse_corpus(lines, SIMPLE_ROSTERS, (2008, 2010)),
+        make_corpus(pubs, [("r1", ["a1"])]),
+        make_corpus(pubs, [("r1", ["a1"])], window=(2008, 2010)),
+    ]
+    for corpus in corpora:
+        assert {f.name for f in fields(Corpus)} <= vars(corpus).keys()
 
 
 def test_colons_inside_ids_take_the_reference_path(monkeypatch):
@@ -288,6 +299,9 @@ def test_year_window_is_inclusive_and_counts_drops():
 def test_empty_year_window_rejected():
     with pytest.raises(CorpusError, match="empty year window"):
         parse_corpus(_pub_line("p1"), SIMPLE_ROSTERS, year_window=(2010, 2005))
+    # Built in code too, before any record is read.
+    with pytest.raises(CorpusError, match="^empty year window"):
+        make_corpus([("", "v1", 2010, ["a1"])], [("r1", ["a1"])], window=(2010, 2005))
 
 
 def test_round_trip_identity(walkthrough_corpus):
@@ -313,12 +327,12 @@ def test_reference_venue_set_walkthrough(walkthrough_corpus):
 
 
 def test_reference_venue_set_empty_is_error():
-    corpus = make_corpus(
-        pubs=[("p1", "v9", 2010, ["outsider"])],
-        refs=[("r1", ["a1"])],
-    )
+    # No corpus has an empty venue set: construction raises, as parsing does.
     with pytest.raises(EmptyVenueSetError):
-        reference_venue_set(corpus)
+        make_corpus(
+            pubs=[("p1", "v9", 2010, ["outsider"])],
+            refs=[("r1", ["a1"])],
+        )
 
 
 def test_parse_rejects_corpus_with_empty_venue_set():
@@ -361,44 +375,163 @@ def test_every_returned_venue_has_a_qualifying_publication(walkthrough_corpus):
         )
 
 
+# (id, records, first error): the ids are stable case names; the errors are
+# the parser's texts, located as hand-built records are.
+_FIRST_BAD_RECORD = [
+    ("publication with empty id",
+     [("p1", "v1", 2010, ["a1"]), ("", "v1", 2010, ["a1"])],
+     "publication #2: empty publication id"),
+    ("duplicate publication id 'p1'",
+     [("p1", "v1", 2010, ["a1"]), ("p1", "v1", 2010, ["a2"])],
+     "publication #2: duplicate publication id 'p1'"),
+    ("empty author list in record 'p2'",
+     [("p1", "v1", 2010, ["a1"]), ("p2", "v1", 2010, [])],
+     "empty author list in record 'p2' (publication #2)"),
+    ("duplicate author within record 'p2'",
+     [("p1", "v1", 2010, ["a1"]), ("p2", "v1", 2010, ["a1", "a1"])],
+     "duplicate author within record 'p2' (publication #2)"),
+    # A record outside the window is checked before it is dropped: its id
+    # still counts, and its fields must still be valid.
+    ("record 'p2' year 2011 outside window [2005, 2010]",
+     [("p1", "v1", 2010, ["a1"]), ("p2", "v1", 2011, ["a1"]), ("p2", "v1", 2010, ["a1"])],
+     "publication #3: duplicate publication id 'p2'"),
+    ("record 'p1' year 2004 outside window [2005, 2010]",
+     [("p1", "v1", 2004, ["a1", 7]), ("p2", "v1", 2010, ["a1"])],
+     "publication #1: author id must be a string, got 7"),
+    # Being outside the window is not an error, so the next record is the first bad one.
+    ("record 'p1' year 2011 outside window [2005, 2010]",
+     [("p1", "v1", 2011, ["a1"]), ("", "v1", 2010, ["a1"])],
+     "publication #2: empty publication id"),
+    # Within one record, the rules go in order.
+    ("duplicate author within record 'p1'",
+     [("p1", "v1", 2010, ["a1", "a1"]), ("p1", "v1", 2010, ["a1"])],
+     "duplicate author within record 'p1' (publication #1)"),
+    ("empty author list in record 'p1'",
+     [("p1", "v1", 2011, []), ("p2", "v1", 2010, ["a1", "a1"])],
+     "empty author list in record 'p1' (publication #1)"),
+    ("duplicate publication id 'p1'",
+     [("p1", "v1", 2010, ["a1"]), ("p1", "v1", 2011, [])],
+     "publication #2: duplicate publication id 'p1'"),
+]
+
+
 @pytest.mark.parametrize(
     ("pubs", "message"),
-    [
-        ([("p1", "v1", 2010, ["a1"]), ("", "v1", 2010, ["a1"])], "publication with empty id"),
-        ([("p1", "v1", 2010, ["a1"]), ("p1", "v1", 2010, ["a2"])],
-         "duplicate publication id 'p1'"),
-        ([("p1", "v1", 2010, ["a1"]), ("p2", "v1", 2010, [])],
-         "empty author list in record 'p2'"),
-        ([("p1", "v1", 2010, ["a1"]), ("p2", "v1", 2010, ["a1", "a1"])],
-         "duplicate author within record 'p2'"),
-        ([("p1", "v1", 2010, ["a1"]), ("p2", "v1", 2011, ["a1"])],
-         "record 'p2' year 2011 outside window [2005, 2010]"),
-        ([("p1", "v1", 2004, ["a1"]), ("p2", "v1", 2010, ["a1"])],
-         "record 'p1' year 2004 outside window [2005, 2010]"),
-        # The first bad record wins; within one record, the rules go in order.
-        ([("p1", "v1", 2011, ["a1"]), ("", "v1", 2010, ["a1"])],
-         "record 'p1' year 2011 outside window [2005, 2010]"),
-        ([("p1", "v1", 2010, ["a1", "a1"]), ("p1", "v1", 2010, ["a1"])],
-         "duplicate author within record 'p1'"),
-        ([("p1", "v1", 2011, []), ("p2", "v1", 2010, ["a1", "a1"])],
-         "empty author list in record 'p1'"),
-        ([("p1", "v1", 2010, ["a1"]), ("p1", "v1", 2011, [])],
-         "duplicate publication id 'p1'"),
-    ],
+    [pytest.param(pubs, message, id=f"pubs{n}-{name}")
+     for n, (name, pubs, message) in enumerate(_FIRST_BAD_RECORD)],
 )
 def test_direct_construction_names_first_bad_record(pubs, message):
     with pytest.raises(CorpusError) as info:
-        make_corpus(pubs=pubs, refs=[("r1", ["a1"])], window=(2005, 2010))
+        _built_and_parsed(pubs, [("r1", ["a1"])], window=(2005, 2010))
     assert str(info.value) == message
 
 
 def test_direct_construction_checks_window_containment():
-    with pytest.raises(CorpusError, match="outside window"):
-        make_corpus(
-            pubs=[("p1", "v1", 1999, ["a1"])],
-            refs=[("r1", ["a1"])],
-            window=(2005, 2010),
-        )
+    # Records outside the window are dropped and counted, as the parser does;
+    # no constructor argument sets the count.
+    pubs = [("p1", "v1", 1999, ["a1"]), ("p2", "v1", 2005, ["a1"]), ("p3", "v1", 2011, ["a1"])]
+    corpus, _ = _built_and_parsed(pubs, [("r1", ["a1"])], window=(2005, 2010))
+    assert [pub.id for pub in corpus.publications] == ["p2"]
+    assert corpus.dropped_outside_window == 2
+    with pytest.raises(TypeError):
+        Corpus(corpus.publications, corpus.reference_programs, (), dropped_outside_window=99)
+
+
+def _json_inputs(pubs, refs, cands=()):
+    """The publications and rosters documents that hold these plain tuples."""
+    text = "".join(
+        json.dumps({"id": p, "venue": v, "year": y, "authors": list(a)}) + "\n"
+        for p, v, y, a in pubs
+    )
+    rosters = _rosters(
+        [{"id": pid, "role": "reference", "rank_hint": n, "faculty": list(faculty)}
+         for n, (pid, faculty) in enumerate(refs, start=1)]
+        + [{"id": pid, "role": "candidate", "faculty": list(faculty)} for pid, faculty in cands]
+    )
+    return text, rosters
+
+
+def _as_parsed(message, n_refs):
+    """A hand-built corpus's error text, located as the parser locates it."""
+    message = re.sub(r"publication #(\d+)", r"publications line \1", message)
+    message = re.sub(r"reference program #(\d+)", r"rosters program #\1", message)
+    return re.sub(r"candidate program #(\d+)",
+                  lambda match: f"rosters program #{n_refs + int(match[1])}", message)
+
+
+def _built_and_parsed(pubs, refs, cands=(), window=None):
+    """``make_corpus`` of the tuples and ``parse_corpus`` of their JSON text,
+    checked equal; or the hand-built error, checked to be the parser's error
+    with the same text apart from its location."""
+    text, rosters = _json_inputs(pubs, refs, cands)
+    outcomes = []
+    for build in (lambda: make_corpus(pubs, refs, cands, window),
+                  lambda: parse_corpus(text, rosters, window)):
+        try:
+            outcomes.append(build())
+        except CorpusError as exc:
+            outcomes.append(exc)
+    built, parsed = outcomes
+    if isinstance(built, CorpusError):
+        assert type(parsed) is type(built)
+        assert str(parsed) == _as_parsed(str(built), len(refs))
+        raise built
+    assert parsed == built
+    assert parsed.dropped_outside_window == built.dropped_outside_window
+    return built, parsed
+
+
+_R1 = [("r1", ["a1"])]
+
+
+@pytest.mark.parametrize(
+    ("pubs", "refs", "cands", "expected"),
+    [
+        pytest.param([("p1", "", 2010, ["a1"])], _R1, [],
+                     "publication #1: empty venue id", id="empty venue"),
+        pytest.param([("p1", " v1 ", 2010, ["a1"])], _R1, [],
+                     [("p1", "v1", 2010, ("a1",))], id="padded venue"),
+        pytest.param([("p1", "v1", True, ["a1"])], _R1, [],
+                     "publication #1: year must be an integer, got True", id="bool year"),
+        pytest.param([("p1", "v1", 2010.0, ["a1"])], _R1, [],
+                     "publication #1: year must be an integer, got 2010.0", id="float year"),
+        pytest.param([(" p1", "v1", 2010, [" a1", "a2\t"])], _R1, [],
+                     [("p1", "v1", 2010, ("a1", "a2"))], id="padded id and authors"),
+        pytest.param([("p1", "v1", 2010, ["a1", 3])], _R1, [],
+                     "publication #1: author id must be a string, got 3", id="author 3"),
+        pytest.param([("p\ud800", "v1", 2010, ["a1"])], _R1, [],
+                     "publication #1: publication id is not valid Unicode", id="lone surrogate id"),
+        pytest.param([("p1", "v1", 2010, ["a1", "b\udfff"])], _R1, [],
+                     "publication #1: author id is not valid Unicode",
+                     id="lone surrogate author"),
+        pytest.param([("p1", "v1", 2010, ["a1", "c1"])], [(" r1 ", [" a1"])], [("c1\t", ["c1 "])],
+                     [("p1", "v1", 2010, ("a1", "c1"))], id="padded roster ids"),
+        pytest.param([("p1", "v1", 2010, ["a1"])], [("r1", ["a1", "a\udbff"])], [],
+                     "reference program #1: author id is not valid Unicode",
+                     id="lone surrogate member"),
+        pytest.param([("p1", "v1", 2010, ["a1"])], _R1, [("c\ud800", ["c1"])],
+                     "candidate program #1: program id is not valid Unicode",
+                     id="lone surrogate program"),
+        pytest.param([("p1", "v1", 2010, ["a1"])], _R1, [("c1", ["c1", " c1"])],
+                     "candidate program #1: duplicate faculty member in 'c1'",
+                     id="member repeated after trimming"),
+        pytest.param([], [], [], "no publication by reference-program faculty; the venue set is empty",
+                     id="no records or rosters"),
+    ],
+)
+def test_hand_built_corpus_follows_the_parser_rules(pubs, refs, cands, expected):
+    # Each input was accepted as given by Corpus(...) while the parser
+    # rejected or trimmed it; now both apply one rule set.
+    if isinstance(expected, str):
+        with pytest.raises(CorpusError) as info:
+            _built_and_parsed(pubs, refs, cands)
+        assert str(info.value) == expected
+    else:
+        built, _ = _built_and_parsed(pubs, refs, cands)
+        assert [(p.id, p.venue, p.year, p.authors) for p in built.publications] == expected
+        assert [(r.program_id, r.faculty) for r in built.programs] == [
+            (pid.strip(), frozenset(m.strip() for m in faculty)) for pid, faculty in refs + cands
+        ]
 
 
 _ORACLE_ROSTERS = _rosters([{"id": "r1", "role": "reference", "faculty": ["r.a"]}])
@@ -562,30 +695,12 @@ def test_serialize_then_parse_is_identity(seed, marks, window):
     assert reparsed == corpus
 
 
-def _first_bad_record(pubs, window):
-    """(position, message) of the first record that breaks a corpus rule, or None.
-
-    The rules of :class:`Corpus`, one record after another and in order
-    within a record: a repeated id, no authors, a repeated author, then a
-    year outside ``window`` if one is given.
-    """
-    ids = []
-    for position, (pub_id, _, year, authors) in enumerate(pubs):
-        if pub_id in ids:
-            return position, f"duplicate publication id {pub_id!r}"
-        ids.append(pub_id)
-        if not authors:
-            return position, f"empty author list in record {pub_id!r}"
-        if len(set(authors)) < len(authors):
-            return position, f"duplicate author within record {pub_id!r}"
-        if window and not window[0] <= year <= window[1]:
-            return position, f"record {pub_id!r} year {year} outside window [{window[0]}, {window[1]}]"
-    return None
-
-
 _DEFECTS = st.lists(
     st.tuples(
-        st.sampled_from(["duplicate id", "empty authors", "duplicate author", "outside window"]),
+        st.sampled_from([
+            "duplicate id", "empty authors", "duplicate author", "outside window", "empty venue",
+            "padded venue", "bool year", "float year", "padded author", "non-string author",
+        ]),
         st.integers(1, 29),
     ),
     max_size=3,
@@ -600,9 +715,10 @@ _DEFECTS = st.lists(
     window=st.sampled_from([None, (2006, 2010)]),
 )
 def test_parsed_columns_agree_with_record_constructor(seed, mark, defects, window):
-    # The parser's columns and the columns Corpus(...) takes from records give
-    # the same corpus, counts and first error; a mark of ":" sends lines to
-    # the reference path, among lines that take the fast one.
+    # Corpus(...) of records equals the parse of their JSON text, with the
+    # same counts, or both raise the same first error apart from its
+    # location; a mark of ":" sends lines to the reference path, among lines
+    # that take the fast one. Both paths drop the records outside the window.
     base = random_corpus(np.random.default_rng(seed), n_papers=26)
     pubs = [
         (p.id + mark + "x" if i % 3 else p.id, p.venue + mark + "w", p.year, list(p.authors))
@@ -618,43 +734,28 @@ def test_parsed_columns_agree_with_record_constructor(seed, mark, defects, windo
             authors = []
         elif defect == "duplicate author":
             authors = [*authors, authors[0]] if authors else authors
-        else:
+        elif defect == "outside window":
             year = 2020
+        elif defect == "empty venue":
+            venue = " "
+        elif defect == "padded venue":
+            venue = f" {venue}\t"
+        elif defect == "bool year":
+            year = True
+        elif defect == "float year":
+            year = float(year)
+        elif defect == "padded author":
+            authors = [f"{authors[0]} ", *authors[1:]] if authors else authors
+        else:
+            authors = [*authors, 7]
         pubs[position] = (pub_id, venue, year, authors)
-    rosters = serialize_rosters(make_corpus([], refs, cands))
-    text = "".join(
-        json.dumps({"id": p, "venue": v, "year": y, "authors": a}) + "\n" for p, v, y, a in pubs
-    )
 
-    # Parsing drops the records outside the window, so only the other rules
-    # can fail, and the message names the line.
-    bad_line = _first_bad_record(pubs, None)
-    if bad_line is None:
-        parsed = parse_corpus(text, rosters, window)
-    else:
-        position, message = bad_line
-        with pytest.raises(CorpusError) as info:
-            parse_corpus(text, rosters, window)
-        where = f"publications line {position + 1}"
-        assert str(info.value) in (f"{where}: {message}", f"{message} ({where})")
-
+    try:
+        built, parsed = _built_and_parsed(pubs, refs, cands, window)
+    except CorpusError:
+        return  # both raised the same error
     kept = [p for p in pubs if window is None or window[0] <= p[2] <= window[1]]
-    bad_record = _first_bad_record(kept, window)
-    if bad_record is not None:
-        with pytest.raises(CorpusError) as info:
-            make_corpus(kept, refs, cands, window)
-        assert str(info.value) == bad_record[1]
-    outside = _first_bad_record(pubs, (2006, 2010)) if window is None else None
-    if outside is not None:
-        with pytest.raises(CorpusError) as info:
-            make_corpus(pubs, refs, cands, (2006, 2010))
-        assert str(info.value) == outside[1]
-    if bad_line is not None or bad_record is not None:
-        return
-
-    built = make_corpus(kept, refs, cands, window)
-    assert parsed == built
-    assert parsed.dropped_outside_window == len(pubs) - len(kept)
+    assert built.dropped_outside_window == len(pubs) - len(kept)
     for mode in VenueMode:
         from_text, from_records = build_counts(parsed, mode), build_counts(built, mode)
         assert from_text.venue_index == from_records.venue_index

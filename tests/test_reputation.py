@@ -285,15 +285,10 @@ def test_model_bits_do_not_depend_on_matrix_layout():
 
 
 def test_transitions_require_reference_programs():
-    from rscore import Corpus, CountsTable
-
-    empty = CountsTable(
-        corpus=Corpus((), (), ()),
-        matrix=np.zeros((0, 0), dtype=np.int64),
-        venue_mode=VenueMode.PER_PROGRAM,
-    )
+    # No corpus has zero reference programs, so the guard is reached only
+    # by a direct call on an empty block.
     with pytest.raises(ModelError, match="no reference programs"):
-        build_reputation_model(empty)
+        _transition_blocks(np.zeros((0, 0), dtype=np.int64), [])
 
 
 def test_gth_reducible_components_are_ordered_by_smallest_state():
