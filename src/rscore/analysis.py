@@ -3,10 +3,12 @@
 The stability sweep re-solves the model for growing prefixes of the reference
 set and measures how much the candidate ranking moves, using Spearman's rank
 correlation between consecutive prefix sizes and between the smallest and
-largest. The corpus is counted once. Each prefix solves the model from a
+largest. The corpus is counted once. Each prefix builds its blocks from a
 slice of the reference rows of that count, over the prefix's own venues, and
 scores the candidates from one venues x candidates block taken up front; no
-prefix builds a table of its own.
+prefix builds a table of its own. Consecutive prefixes are solved as a group,
+with one irreducibility check and one GTH elimination for the whole group's
+stack of aggregated matrices; each prefix gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -22,10 +24,13 @@ import numpy as np
 from .corpus import EMPTY_VENUE_SET, Corpus
 from .counts import build_counts
 from .errors import AnalysisError, DegenerateRankingError, EmptyVenueSetError, RScoreError
-from .reputation import _solve, _transition_blocks
+from .reputation import _gth_stack, _transition_blocks, _venue_step
 from .scoring import ScoreReport, _raw_scores
 
 Ranking = Sequence[str] | Sequence[tuple[str, float]]
+
+# A group of prefixes closes once its betas and its stack hold this many cells (8 MB).
+_GROUP_CELLS = 1 << 20
 
 
 def _rank_map(ranking: Ranking) -> dict[str, float]:
@@ -134,17 +139,37 @@ def stability_sweep(corpus: Corpus, k: int) -> StabilityReport:
         # A prefix's venues are those its programs publish in, so each
         # prefix adds its last program's venues to the set before it.
         seen = np.zeros(len(counts.venue_index), dtype=bool)
-        for size in range(1, k + 1):
-            seen |= reference[size - 1] > 0
-            columns = np.flatnonzero(seen)
-            if columns.size == 0:
-                raise EmptyVenueSetError(EMPTY_VENUE_SET)
-            alpha, beta = _transition_blocks(reference[:size, columns], programs[:size])
-            _, _, nu = _solve(alpha, beta)
-            raws = _raw_scores(block, columns, nu).tolist()
-            scored = sorted(zip(candidates, raws), key=lambda item: (-item[1], item[0]))
-            ranks[size] = _rank_map(scored)
-            rankings[size] = tuple(pid for pid, _ in scored)
+        while len(ranks) < k:
+            # Phase 1, per prefix: blocks and aggregate, until one fails or
+            # the group's betas and stack hold _GROUP_CELLS cells.
+            group, failure, cells = [], None, 0
+            for size in range(len(ranks) + 1, k + 1):
+                seen |= reference[size - 1] > 0
+                columns = np.flatnonzero(seen)
+                try:
+                    if columns.size == 0:
+                        raise EmptyVenueSetError(EMPTY_VENUE_SET)
+                    _, beta, p_prime = _transition_blocks(reference[:size, columns], programs[:size])
+                except RScoreError as exc:
+                    failure = size, exc
+                    break
+                group.append((size, columns, beta, p_prime))
+                cells += beta.size
+                if cells + len(group) * size**2 >= _GROUP_CELLS:
+                    break
+            # Phase 2: one irreducibility check and one elimination.
+            gammas, reducible = _gth_stack([p_prime for *_, p_prime in group])
+            if reducible is not None:
+                failure = group[len(gammas)][0], reducible
+            # Phase 3, per prefix, smallest first: the first failure names its size.
+            for (size, columns, beta, p_prime), gamma in zip(group, gammas):
+                raws = _raw_scores(block, columns, _venue_step(p_prime, gamma, beta)).tolist()
+                scored = sorted(zip(candidates, raws), key=lambda item: (-item[1], item[0]))
+                ranks[size] = _rank_map(scored)
+                rankings[size] = tuple(pid for pid, _ in scored)
+            if failure is not None:
+                size, exc = failure
+                raise exc
     except RScoreError as exc:
         raise AnalysisError(f"reference-set size {size}: {exc}") from exc
 

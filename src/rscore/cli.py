@@ -224,7 +224,7 @@ def _cmd_venues(args: argparse.Namespace) -> int:
         return 0
     ranked = sorted(zip(model.venue_index, model.nu), key=lambda item: (-item[1], item[0]))
     _emit(args, {
-        "model_digest": model.digest,
+        "model_digest": model.digest if args.json else None,
         "venues": _Table("venue nu", "%s\t%.6f", ((v, float(nu)) for v, nu in ranked)),
     })
     return 0
@@ -243,7 +243,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     if report.zero_scores:
         print("warning: every candidate scored zero", file=sys.stderr)
     _emit(args, {
-        "model_digest": model.digest,
+        "model_digest": model.digest if args.json else None,
         "zero_scores": report.zero_scores,
         "rows": _Table(
             "program_id faculty_count raw_score r_score r_score_per_faculty"

@@ -124,7 +124,7 @@ class Corpus:
             if roster.program_id in programs:
                 raise CorpusError(f"duplicate program id {roster.program_id!r}")
             programs.add(roster.program_id)
-            for member in roster.faculty:
+            for member in sorted(roster.faculty):
                 if member in home:
                     raise CorpusError(f"faculty member {member!r} appears in both "
                                       f"{home[member]!r} and {roster.program_id!r}")
@@ -403,6 +403,8 @@ def _check_roster(raw_id: object, role: object, raw_faculty: object,
         raise CorpusError(f"{where}: faculty must be an array")
     if not raw_faculty:
         raise CorpusError(f"empty roster for program {program_id!r} ({where})")
+    if isinstance(raw_faculty, (set, frozenset)):  # sorted, so the first error is fixed
+        raw_faculty = sorted(raw_faculty, key=repr)
     faculty = [_clean_id(a, "author id", where) for a in raw_faculty]
     if len(set(faculty)) != len(faculty):
         raise CorpusError(f"{where}: duplicate faculty member in {program_id!r}")

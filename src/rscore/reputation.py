@@ -12,6 +12,7 @@ reputations follow by one more transition step.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -68,8 +69,8 @@ def build_reputation_model(counts: CountsTable) -> ReputationModel:
     not read here.
     """
     programs = counts.reference_programs
-    alpha, beta = _transition_blocks(counts.matrix[: len(programs)], programs)
-    p_prime, gamma, nu = _solve(alpha, beta)
+    alpha, beta, p_prime = _transition_blocks(counts.matrix[: len(programs)], programs)
+    gamma = stationary_gth(p_prime)
     return ReputationModel(
         program_index=tuple(programs),
         venue_index=tuple(counts.venue_index),
@@ -77,14 +78,15 @@ def build_reputation_model(counts: CountsTable) -> ReputationModel:
         beta=beta,
         p_prime=p_prime,
         gamma=gamma,
-        nu=nu,
+        nu=_venue_step(p_prime, gamma, beta),
     )
 
 
 def _transition_blocks(
     reference: np.ndarray, programs: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """alpha and beta of an integer reference programs x venues block.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha, beta and their aggregate ``p_prime = beta @ alpha`` of an integer
+    reference programs x venues block, each checked to be row-stochastic.
 
     beta is the block over its row sums and alpha the block over its column
     sums, transposed. Counts and sums are integers below 2**53, so each
@@ -117,26 +119,29 @@ def _transition_blocks(
     venue_sums = alpha.sum(axis=1)
     if np.max(np.abs(venue_sums - 1.0)) > ROW_SUM_TOL:
         raise ModelError("venue transition rows do not sum to 1")
-    return alpha, beta
+    p_prime = beta @ alpha
+    if np.max(np.abs(p_prime.sum(axis=1) - 1.0)) > AGGREGATE_TOL:
+        raise ModelError("aggregated matrix is not row-stochastic")
+    return alpha, beta, p_prime
+
+
+def _closure(adjacency: np.ndarray) -> np.ndarray:
+    """Reach matrices of a stack of boolean n x n adjacency matrices, squared
+    until they stop changing (about log2 n products); path counts are exact."""
+    reach = (adjacency | np.eye(adjacency.shape[-1], dtype=bool)).astype(np.float64)
+    while True:
+        closed = (reach @ reach > 0).astype(np.float64)
+        if np.array_equal(closed, reach):
+            return closed > 0
+        reach = closed
 
 
 def _strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:
     """Strongly connected components of a directed graph given as a boolean
-    n x n adjacency matrix, each sorted, ordered by their smallest state.
-
-    Reachability is closed by squaring the 0/1 reach matrix until it stops
-    changing (about log2 n products); two states share a component when each
-    reaches the other.
-    """
-    n = adjacency.shape[0]
-    reach = (adjacency | np.eye(n, dtype=bool)).astype(np.float64)
-    while True:
-        closed = (reach @ reach > 0).astype(np.float64)
-        if np.array_equal(closed, reach):
-            break
-        reach = closed
-    mutual = reach * reach.T > 0
-    smallest = mutual.argmax(axis=1)
+    n x n adjacency matrix, each sorted, ordered by their smallest state; two
+    states share a component when each reaches the other."""
+    reach = _closure(adjacency[None])[0]
+    smallest = (reach & reach.T).argmax(axis=1)
     return [np.flatnonzero(smallest == root).tolist() for root in np.unique(smallest)]
 
 
@@ -148,47 +153,70 @@ def stationary_gth(p: np.ndarray) -> np.ndarray:
     row entries, so the elimination never subtracts like-signed quantities
     and needs no pivoting to stay stable. Reducible inputs are rejected with
     the list of strongly connected components, ordered by smallest state,
-    rather than silently patched.
+    rather than silently patched. It solves a stack of one with ``_gth_stack``,
+    which eliminates a stack of matrices in lockstep, each in the corner of its
+    layer, and gives every matrix the bits it would get alone.
     """
     a = np.array(p, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ModelError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         raise ModelError("empty transition matrix")
     # Written so that a NaN entry, whose row sum is NaN, fails the check.
     if np.any(a < 0) or not np.all(np.abs(a.sum(axis=1) - 1.0) <= 1e-8):
         raise ModelError("matrix is not row-stochastic")
+    gammas, reducible = _gth_stack([a])
+    if reducible is not None:
+        raise reducible
+    return gammas[0]
 
-    components = _strongly_connected_components(a > 0)
-    if len(components) > 1:
-        raise ReducibleChainError(components)
 
-    for k in range(n - 1):
-        pivot = a[k, k + 1 :].sum()
-        if pivot <= 0.0:
+def _gth_stack(matrices: Sequence[np.ndarray]) -> tuple[list, ReducibleChainError | None]:
+    """GTH stationary vectors of row-stochastic matrices of ascending size,
+    solved in lockstep up to the first reducible one, and its error or None.
+
+    Each s x s matrix fills the bottom-right corner of its layer of one zero
+    stack, so the layers still eliminating at global state g (s >= n - g)
+    are the last ones, with n - g - 1 entries left in each pivot row. A
+    step's pivot sums are then, row by row, the pairwise sums of one matrix
+    alone, and the rest is elementwise, so every matrix gets the bits it
+    would get alone. The back-substitution is one BLAS dot per state.
+    """
+    sizes = [len(a) for a in matrices]
+    n = max(sizes, default=0)
+    stack = np.zeros((len(sizes), n, n))
+    for layer, a, s in zip(stack, matrices, sizes):
+        layer[n - s :, n - s :] = a
+    # Padding reaches only itself: a chain is irreducible iff its corner is all reached.
+    reach = _closure(stack > 0)
+    solved = next((i for i, s in enumerate(sizes) if not reach[i, n - s :, n - s :].all()),
+                  len(sizes))
+    reducible = None if solved == len(sizes) else ReducibleChainError(
+        _strongly_connected_components(matrices[solved] > 0))
+    stack, sizes = stack[:solved], sizes[:solved]
+    for g in range(n - 1):
+        a = stack[bisect_left(sizes, n - g) :]
+        pivot = a[:, g, g + 1 :].sum(axis=-1)
+        if np.any(pivot <= 0.0):
             # unreachable after the irreducibility check; kept as a guard
-            raise ModelError(f"zero pivot while eliminating state {k}")
-        a[k + 1 :, k] /= pivot
-        a[k + 1 :, k + 1 :] += a[k + 1 :, k, None] * a[k, k + 1 :]
+            s = sizes[-len(a) :][int(np.argmax(pivot <= 0.0))]
+            raise ModelError(f"zero pivot while eliminating state {g - n + s}")
+        a[:, g + 1 :, g] /= pivot[:, None]
+        a[:, g + 1 :, g + 1 :] += a[:, g + 1 :, g, None] * a[:, g, None, g + 1 :]
+    gammas = []
+    for layer, s in zip(stack, sizes):
+        a = layer[n - s :, n - s :]
+        x = np.zeros(s)
+        x[s - 1] = 1.0
+        for k in range(s - 2, -1, -1):
+            x[k] = x[k + 1 :] @ a[k + 1 :, k]
+        gammas.append(x / x.sum())
+    return gammas, reducible
 
-    x = np.zeros(n)
-    x[n - 1] = 1.0
-    for k in range(n - 2, -1, -1):
-        x[k] = x[k + 1 :] @ a[k + 1 :, k]
-    return x / x.sum()
 
-
-def _solve(
-    alpha: np.ndarray, beta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Aggregate, solve and verify, then step to the venues: p_prime, gamma
-    and nu of the chain with blocks alpha and beta."""
-    p_prime = beta @ alpha
-    row_sums = p_prime.sum(axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > AGGREGATE_TOL:
-        raise ModelError("aggregated matrix is not row-stochastic")
-    gamma = stationary_gth(p_prime)
+def _venue_step(p_prime: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """nu: gamma, checked as the fixed point of p_prime, one step on to the
+    venues, scaled so the top venue is exactly 1."""
     residual = np.max(np.abs(gamma @ p_prime - gamma))
     if residual > RESIDUAL_TOL:
         raise ModelError(f"stationary solve residual {residual:.3e} exceeds tolerance")
@@ -196,4 +224,4 @@ def _solve(
     top = nu.max()
     if top <= 0.0:
         raise ModelError("venue reputations are all zero")
-    return p_prime, gamma, nu / top
+    return nu / top

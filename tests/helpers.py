@@ -246,3 +246,28 @@ def random_stochastic(rng: np.random.Generator, n: int) -> np.ndarray:
     """Strictly positive row-stochastic matrix (hence irreducible, aperiodic)."""
     m = rng.uniform(0.05, 1.0, size=(n, n))
     return m / m.sum(axis=1, keepdims=True)
+
+
+def sparse_irreducible_stochastic(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Row-stochastic matrix with random zeros, kept irreducible by a cycle
+    through every state."""
+    m = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 1.0))
+    m[np.arange(n), (np.arange(n) + 1) % n] += rng.uniform(0.01, 1.0, size=n)
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def gth_one_matrix(p: np.ndarray) -> np.ndarray:
+    """GTH stationary vector of one irreducible row-stochastic matrix, one
+    state at a time: pairwise pivot sums of the remaining row, elementwise
+    updates, and one dot per state in the back-substitution."""
+    a = np.array(p, dtype=np.float64)
+    n = a.shape[0]
+    for k in range(n - 1):
+        pivot = a[k, k + 1 :].sum()
+        a[k + 1 :, k] /= pivot
+        a[k + 1 :, k + 1 :] += a[k + 1 :, k, None] * a[k, k + 1 :]
+    x = np.zeros(n)
+    x[n - 1] = 1.0
+    for k in range(n - 2, -1, -1):
+        x[k] = x[k + 1 :] @ a[k + 1 :, k]
+    return x / x.sum()

@@ -265,11 +265,64 @@ def test_sweep_counts_once_and_builds_one_table(whole, monkeypatch):
     monkeypatch.setattr(
         rscore.analysis, "_rank_map", lambda ranking: ranked.append(1) or rank_map(ranking)
     )
+    # and all the prefixes are solved as one stack
+    stacked = []
+    gth_stack = rscore.analysis._gth_stack
+    monkeypatch.setattr(
+        rscore.analysis, "_gth_stack", lambda matrices: stacked.append(1) or gth_stack(matrices)
+    )
     k = len(corpus.reference_programs) if whole else 1
     stability_sweep(corpus, k)
     assert counted == [1]
     assert tables == [1]
     assert len(ranked) == k
+    assert stacked == [1]
+
+
+@pytest.mark.parametrize("cells", [1, 60, 400])
+def test_sweep_in_groups_gives_the_same_report(cells, monkeypatch):
+    # a smaller cell cap splits the prefixes into more groups, one stacked
+    # solve each, and changes nothing in the report
+    import rscore.analysis
+
+    corpus = random_corpus(np.random.default_rng(558), n_ref=9, n_cand=5, hub=True)
+    whole = stability_sweep(corpus, 9)
+    groups = []
+    gth_stack = rscore.analysis._gth_stack
+    monkeypatch.setattr(
+        rscore.analysis, "_gth_stack",
+        lambda matrices: groups.append(len(matrices)) or gth_stack(matrices),
+    )
+    monkeypatch.setattr(rscore.analysis, "_GROUP_CELLS", cells)
+    assert stability_sweep(corpus, 9) == whole
+    assert sum(groups) == 9
+    assert len(groups) > 1
+    if cells == 1:
+        assert groups == [1] * 9
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 20])
+def test_sweep_names_the_smallest_failing_size_first(cells, monkeypatch):
+    # size 2 is reducible (its two programs share no venue), and size 3 has
+    # a reference program with no paper; the stacked check must still name
+    # size 2, as a prefix-by-prefix solve does
+    import rscore.analysis
+
+    monkeypatch.setattr(rscore.analysis, "_GROUP_CELLS", cells)
+    pubs = [
+        ("p1", "v1", 2010, ["a1"]),
+        ("p2", "v2", 2010, ["b1"]),
+        ("p3", "v1", 2010, ["c1"]),
+    ]
+    corpus = make_corpus(
+        pubs, refs=[("r1", ["a1"]), ("r2", ["b1"]), ("silent", ["z1"])], cands=[("cand", ["c1"])]
+    )
+    with pytest.raises(AnalysisError) as excinfo:
+        stability_sweep(corpus, 3)
+    assert str(excinfo.value) == (
+        "reference-set size 2: transition matrix is reducible; "
+        "2 strongly connected components: {0}; {1}"
+    )
 
 
 def test_sweep_venue_mode_passthrough():

@@ -95,6 +95,24 @@ def test_digest_not_in_tsv_output(walkthrough_args, capsys):
     assert digest not in first
 
 
+@pytest.mark.parametrize("command", ["rank", "venues"])
+def test_only_json_runs_hash_the_model(walkthrough_args, monkeypatch, capsys, command):
+    # the digest is printed only in the JSON document
+    from rscore import ReputationModel
+
+    reads = []
+    digest = ReputationModel.digest.fget
+    monkeypatch.setattr(
+        ReputationModel, "digest", property(lambda model: reads.append(1) or digest(model))
+    )
+    assert run([command, *walkthrough_args]) == 0
+    assert reads == []
+    capsys.readouterr()
+    assert run([command, "--json", *walkthrough_args]) == 0
+    assert reads == [1]
+    assert len(json.loads(capsys.readouterr().out)["model_digest"]) == 16
+
+
 def test_stability_walkthrough(walkthrough_args, capsys):
     assert run(["stability", "--k", "2", *walkthrough_args]) == 0
     out = capsys.readouterr().out

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rscore
 from rscore import (
     Corpus,
     CorpusError,
@@ -763,3 +768,44 @@ def test_parsed_columns_agree_with_record_constructor(seed, mark, defects, windo
         assert np.array_equal(from_text.matrix, from_records.matrix)
         assert np.array_equal(from_text.venue_totals, from_records.venue_totals)
     assert list(from_text.per_faculty_venue.items()) == list(from_records.per_faculty_venue.items())
+
+
+_FIRST_ROSTER_ERRORS = r"""
+from rscore import Corpus, ProgramRoster, PublicationRecord, RScoreError, parse_corpus
+
+def first_error(build):
+    try:
+        build()
+    except RScoreError as exc:
+        print(exc)
+
+# three bad members of one hand-built roster
+first_error(lambda: Corpus(
+    [PublicationRecord("p1", "v1", 2010, ("a1",))], [ProgramRoster("r1", frozenset({"a1"}))],
+    [ProgramRoster("c1", frozenset({" ", "x\ud800", 3}))],
+))
+# three members shared by two parsed rosters
+first_error(lambda: parse_corpus(
+    '{"id": "p1", "venue": "v1", "year": 2010, "authors": ["x"]}',
+    '{"programs": [{"id": "a", "role": "reference", "faculty": ["x", "y", "z"]},'
+    ' {"id": "b", "role": "candidate", "faculty": ["z", "y", "x"]}]}',
+))
+"""
+
+
+def test_first_roster_error_does_not_depend_on_the_hash_seed():
+    # rosters are frozensets, whose order changes with the hash seed
+    source = str(Path(rscore.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _FIRST_ROSTER_ERRORS],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for seed in ("1", "2", "3")
+    }
+    assert outputs == {
+        "candidate program #1: empty author id\n"
+        "faculty member 'x' appears in both 'a' and 'b'\n"
+    }

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rscore import (
     ModelError,
@@ -14,9 +16,22 @@ from rscore import (
     build_reputation_model,
     stationary_gth,
 )
-from rscore.reputation import _strongly_connected_components, _transition_blocks
+from rscore.reputation import (
+    _closure,
+    _gth_stack,
+    _strongly_connected_components,
+    _transition_blocks,
+)
 
-from helpers import make_corpus, naive_matmul, power_iteration, random_corpus, random_stochastic
+from helpers import (
+    gth_one_matrix,
+    make_corpus,
+    naive_matmul,
+    power_iteration,
+    random_corpus,
+    random_stochastic,
+    sparse_irreducible_stochastic,
+)
 
 
 def test_walkthrough_transition_blocks(walkthrough_counts):
@@ -72,8 +87,8 @@ def test_aggregate_private_venues_gives_identity():
         refs=[("r1", ["a1"]), ("r2", ["b1"])],
     )
     counts = build_counts(corpus)
-    alpha, beta = _transition_blocks(counts.matrix, counts.reference_programs)
-    np.testing.assert_allclose(beta @ alpha, np.eye(2), atol=1e-15)
+    _, _, p_prime = _transition_blocks(counts.matrix, counts.reference_programs)
+    np.testing.assert_allclose(p_prime, np.eye(2), atol=1e-15)
     # the identity chain is reducible, so the model names both programs apart
     with pytest.raises(ReducibleChainError) as excinfo:
         build_reputation_model(counts)
@@ -317,3 +332,82 @@ def test_strong_components_match_scipy_on_random_digraphs():
         )
         expected = sorted(np.flatnonzero(labels == label).tolist() for label in range(count))
         assert _strongly_connected_components(adjacency) == expected
+
+
+# Sizes on both sides of numpy's 8-way unrolled sum and its 128-element
+# pairwise block.
+GTH_SIZES = (1, 2, 8, 9, 16, 17, 128, 129, 200)
+
+
+def _same_bits(gammas, matrices):
+    return [g.tobytes() for g in gammas] == [gth_one_matrix(p).tobytes() for p in matrices]
+
+
+def test_lockstep_gth_keeps_the_bits_of_one_matrix_at_a_time():
+    # every size above in one stack, behind the 1..k shape of a sweep
+    rng = np.random.default_rng(20263)
+    matrices = [sparse_irreducible_stochastic(rng, n) for n in [*range(1, 30), *GTH_SIZES[6:]]]
+    gammas, reducible = _gth_stack(matrices)
+    assert reducible is None
+    assert _same_bits(gammas, matrices)
+    for p in matrices[-3:]:
+        assert stationary_gth(p).tobytes() == gth_one_matrix(p).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.one_of(
+        st.integers(1, 40).map(lambda k: list(range(1, k + 1))),
+        st.lists(st.sampled_from(GTH_SIZES), min_size=1, max_size=4).map(sorted),
+    ),
+)
+def test_lockstep_gth_equals_the_one_matrix_loop(seed, sizes):
+    rng = np.random.default_rng(seed)
+    matrices = [sparse_irreducible_stochastic(rng, n) for n in sizes]
+    gammas, reducible = _gth_stack(matrices)
+    assert reducible is None
+    assert _same_bits(gammas, matrices)
+
+
+def test_gth_stack_solves_up_to_the_first_reducible_matrix():
+    rng = np.random.default_rng(20264)
+    solvable = [sparse_irreducible_stochastic(rng, n) for n in (2, 3)]
+    later = sparse_irreducible_stochastic(rng, 5)
+    gammas, reducible = _gth_stack([*solvable, np.eye(4), later])
+    assert _same_bits(gammas, solvable)
+    assert reducible.components == ((0,), (1,), (2,), (3,))
+
+
+def test_stacked_closure_matches_scipy_components():
+    # each graph in the bottom-right corner of its layer, as the GTH stack
+    # holds its matrices
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    rng = np.random.default_rng(20265)
+    for _ in range(60):
+        sizes = sorted(int(s) for s in rng.integers(1, 20, size=int(rng.integers(1, 6))))
+        n = sizes[-1]
+        graphs = [rng.random((s, s)) < rng.uniform(0.0, 0.3) for s in sizes]
+        stack = np.zeros((len(sizes), n, n), dtype=bool)
+        for layer, graph, s in zip(stack, graphs, sizes):
+            layer[n - s :, n - s :] = graph
+        for layer, graph, s in zip(_closure(stack), graphs, sizes):
+            _, labels = csgraph.connected_components(graph, directed=True, connection="strong")
+            corner = layer[n - s :, n - s :]
+            assert np.array_equal(corner & corner.T, labels[:, None] == labels[None, :])
+            # the padding reaches only itself
+            assert np.array_equal(layer[: n - s], np.eye(n, dtype=bool)[: n - s])
+            assert not layer[n - s :, : n - s].any()
+
+
+def test_gth_zero_pivot_guard_names_the_state_in_its_own_matrix(monkeypatch):
+    # the irreducibility check keeps the guard unreachable, so let every chain
+    # pass it: the 3-state chain stalls at its own state 1, global state 3 of
+    # a stack whose largest matrix has 5 states
+    import rscore.reputation
+
+    monkeypatch.setattr(rscore.reputation, "_closure", np.ones_like)
+    stalled = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    irreducible = sparse_irreducible_stochastic(np.random.default_rng(20266), 5)
+    with pytest.raises(ModelError, match="^zero pivot while eliminating state 1$"):
+        _gth_stack([stalled, irreducible])
