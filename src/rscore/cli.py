@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from pathlib import Path
 from collections.abc import Iterable, Sequence
 
@@ -140,16 +141,16 @@ def _emit(args: argparse.Namespace, payload: dict[str, object],
         }
         sys.stdout.write(json.dumps(document, indent=2) + "\n")
         return
-    lines: list[str] = []
+    parts: list[Iterable[str]] = []
     for table in payload.values():
         if isinstance(table, _Table):
-            if table.title is not None:
-                lines.append(table.title)
-            lines.append("\t".join(table.columns))
-            lines += map(table.template.__mod__, table.rows)
-    lines += tsv_tail
-    sys.stdout.write("\n".join(lines))
-    sys.stdout.write("\n")  # ends the report without copying it
+            parts += [[table.title] if table.title is not None else [],
+                      ["\t".join(table.columns)], map(table.template.__mod__, table.rows)]
+    lines = chain.from_iterable([*parts, tsv_tail])
+    # A block of lines at a time: no copy of the whole report is ever held.
+    for block in iter(lambda: list(islice(lines, 4096)), []):
+        sys.stdout.write("\n".join(block))
+        sys.stdout.write("\n")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -21,7 +21,7 @@ import json.scanner
 import math
 import re
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -318,7 +318,7 @@ def _parse_publications(text: str) -> list[list]:
     # string object per distinct id.
     share = {}.setdefault
     suspect = _may_hold_surrogate(text)
-    lines = text.replace("\r\n", "\n").split("\n")
+    lines = chain.from_iterable(_line_blocks(text.replace("\r\n", "\n")))
     for lineno, line in enumerate(lines, start=1):
         try:
             raw, end = _scan_value(line, 0)
@@ -350,6 +350,17 @@ def _parse_publications(text: str) -> list[list]:
         for column, value in zip(columns, row or ()):
             column.append(value)
     return columns
+
+
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """``text.split("\\n")`` in consecutive parts of about 64k characters,
+    so that only one part's lines are held at once."""
+    start = 0
+    while start <= len(text):
+        end = text.find("\n", start + (1 << 16))
+        end = len(text) if end < 0 else end
+        yield text[start:end].split("\n")
+        start = end + 1
 
 
 def _parse_line(line: str, lineno: int, seen: set[str]) -> tuple | None:

@@ -111,7 +111,9 @@ def _transition_blocks(
         )
 
     beta = reference / totals[:, None]
-    alpha = np.ascontiguousarray((reference / reference.sum(axis=0)).T)
+    # Divided straight into C order, so no quotient is transposed and copied.
+    alpha = np.divide(reference.T, reference.sum(axis=0)[:, None],
+                      out=np.empty(reference.shape[::-1]))
 
     row_sums = beta.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:

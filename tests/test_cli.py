@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from rscore import parse_corpus, serialize_publications, serialize_rosters
-from rscore.cli import _COMMANDS, run
+from rscore.cli import _COMMANDS, _emit, _Table, run
 
 from helpers import random_corpus
 
@@ -425,6 +426,21 @@ def test_deeply_nested_json_is_data_error(fixture_dir, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
+
+
+def test_tsv_report_is_written_in_blocks_that_make_one_text(monkeypatch):
+    rows = [(i, i / 7) for i in range(10_000)]
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": staticmethod(writes.append)}))
+    _emit(argparse.Namespace(json=False), {
+        "a": _Table("n x", "%d\t%.6f", iter(rows), "# a"),
+        "skipped": 3,
+        "b": _Table("k", "%s", [("z",)]),
+    }, ["# tail"])
+    lines = ["# a", "n\tx", *("%d\t%.6f" % row for row in rows), "k", "z", "# tail"]
+    assert "".join(writes) == "\n".join(lines) + "\n"
+    # no write holds the whole report
+    assert 2 < len(writes) and max(map(len, writes)) < len("".join(writes)) / 2
 
 
 def test_per_faculty_table_built_only_by_counts(walkthrough_args, fixture_dir, monkeypatch, capsys):

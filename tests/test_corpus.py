@@ -25,6 +25,7 @@ from rscore import (
     serialize_publications,
     serialize_rosters,
 )
+from rscore.corpus import _line_blocks
 
 from helpers import OracleReject, make_corpus, oracle_publications, random_corpus
 
@@ -98,6 +99,23 @@ def test_parse_malformed_line_reports_line_number():
     lines = _pub_line("p1") + "\nnot json at all\n"
     with pytest.raises(CorpusError, match="line 2"):
         parse_corpus(lines, SIMPLE_ROSTERS)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "a", "a\n", "\n\n", "a\r\nb", "x" * 70_000 + "\n" + "y",
+    "\n" * 70_000, ("z" * 65_535 + "\n") * 3, "a\n" * 40_000,
+])
+def test_line_blocks_split_like_one_split(text):
+    # the parser splits its text a block at a time; the lines must not change
+    assert [line for block in _line_blocks(text) for line in block] == text.split("\n")
+
+
+def test_parse_of_many_blocks_reads_every_line_with_its_number():
+    good = "".join(_pub_line(f"p{i}") + ("\r\n" if i % 2 else "\n") for i in range(4_000))
+    assert len(good) > 3 * (1 << 16)
+    assert parse_corpus(good, SIMPLE_ROSTERS).publication_count == 4_000
+    with pytest.raises(CorpusError, match="publications line 2500: "):
+        parse_corpus(good.replace(_pub_line("p2499"), "{"), SIMPLE_ROSTERS)
 
 
 def test_parse_unknown_key_rejected():
