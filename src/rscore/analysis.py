@@ -5,10 +5,11 @@ set and measures how much the candidate ranking moves, using Spearman's rank
 correlation between consecutive prefix sizes and between the smallest and
 largest. The corpus is counted once. Each prefix builds its blocks from a
 slice of the reference rows of that count, over the prefix's own venues, and
-scores the candidates from one venues x candidates block taken up front; no
-prefix builds a table of its own. Consecutive prefixes are solved as a group,
-with one irreducibility check and one GTH elimination for the whole group's
-stack of aggregated matrices; each prefix gets the bits it would get alone.
+scores the candidates from the nonzero cells of their rows, taken up front;
+no prefix builds a table of its own. Consecutive prefixes are solved as a
+group, with one irreducibility check and one GTH elimination for the whole
+group's stack of aggregated matrices; each prefix gets the bits it would get
+alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ from .corpus import EMPTY_VENUE_SET, Corpus
 from .counts import build_counts
 from .errors import AnalysisError, DegenerateRankingError, EmptyVenueSetError, RScoreError
 from .reputation import _gth_stack, _transition_blocks, _venue_step
-from .scoring import ScoreReport, _raw_scores
+from .scoring import ScoreReport, _nonzero_cells, _raw_scores
 
 Ranking = Sequence[str] | Sequence[tuple[str, float]]
 
@@ -117,6 +118,8 @@ def stability_sweep(corpus: Corpus, k: int) -> StabilityReport:
     Each prefix keeps its own venue set: the venues its reference programs
     publish in. Any failure is reported with the offending prefix size.
     """
+    if isinstance(k, bool) or not isinstance(k, Integral):
+        raise AnalysisError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise AnalysisError(f"k must be >= 1, got {k}")
     available = len(corpus.reference_programs)
@@ -134,8 +137,9 @@ def stability_sweep(corpus: Corpus, k: int) -> StabilityReport:
         counts = build_counts(corpus)
         programs = counts.reference_programs
         reference = counts.matrix[: len(programs)]
-        # venues x candidates, so each prefix gathers whole rows of it
-        block = np.ascontiguousarray(counts.matrix[len(programs) :].T, dtype=np.float64)
+        nonzeros = _nonzero_cells(counts.matrix[len(programs) :])
+        # A prefix's columns hold every earlier prefix's, so it leaves no stale entry.
+        nu = np.zeros(len(counts.venue_index))
         # A prefix's venues are those its programs publish in, so each
         # prefix adds its last program's venues to the set before it.
         seen = np.zeros(len(counts.venue_index), dtype=bool)
@@ -163,7 +167,8 @@ def stability_sweep(corpus: Corpus, k: int) -> StabilityReport:
                 failure = group[len(gammas)][0], reducible
             # Phase 3, per prefix, smallest first: the first failure names its size.
             for (size, columns, beta, p_prime), gamma in zip(group, gammas):
-                raws = _raw_scores(block, columns, _venue_step(p_prime, gamma, beta)).tolist()
+                nu[columns] = _venue_step(p_prime, gamma, beta)
+                raws = _raw_scores(nonzeros, nu, len(candidates)).tolist()
                 scored = sorted(zip(candidates, raws), key=lambda item: (-item[1], item[0]))
                 ranks[size] = _rank_map(scored)
                 rankings[size] = tuple(pid for pid, _ in scored)

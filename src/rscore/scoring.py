@@ -1,7 +1,7 @@
 """Scoring and ranking of programs against a solved reputation model.
 
-A program's raw score is its venue-weighted publication total: the dot
-product of the venue reputation vector with the program's per-venue counts.
+A program's raw score is its venue-weighted publication total: its nonzero
+per-venue counts times the venue reputations, added venue by venue.
 Normalizing by the best raw score in the scored set gives the final score
 in [0, 1]; dividing by roster size first gives the per-faculty variant.
 """
@@ -41,28 +41,23 @@ class ScoreReport:
     zero_scores: bool = False
 
 
-# Venues are scored a chunk at a time. A chunk holds at most this many
-# products (64 KB of float64), so no temporary grows with the number of
-# venues or programs.
-_CHUNK_CELLS = 1 << 13
+def _nonzero_cells(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A count block's nonzero cells in row-major order: rows, columns, counts."""
+    row, column = np.nonzero(block)
+    return row, column, block[row, column]
 
 
-def _raw_scores(block: np.ndarray, columns: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Each program's total of ``block[columns[j], program] * nu[j]`` over j.
+def _raw_scores(cells: tuple[np.ndarray, ...], nu: np.ndarray, rows: int) -> np.ndarray:
+    """Each of ``rows`` rows' total of ``count * nu[column]`` over its cells.
 
-    ``block`` is venues x programs. The products are added one venue at a
-    time, left to right, as a per-program loop over venues would add them:
-    ``np.add.accumulate`` runs sequentially along its axis, where a matrix
-    product or ``sum`` may reorder the sum and change the last bits. Each
-    chunk of venues starts from the running total of the chunks before it.
+    The cells come from :func:`_nonzero_cells`, so each row's products come
+    left to right by venue, and ``np.bincount`` adds its weights in input
+    order, as a per-row loop would; a matrix product or ``sum`` may reorder
+    the sum and change the last bits. Every product is >= 0 and every total
+    starts at +0.0, so the zero cells left out would add nothing.
     """
-    totals = np.zeros(block.shape[1])
-    step = max(1, _CHUNK_CELLS // block.shape[1])
-    for start in range(0, len(columns), step):
-        products = block[columns[start : start + step]] * nu[start : start + step, None]
-        products[0] += totals
-        totals = np.add.accumulate(products, axis=0, out=products)[-1]
-    return totals
+    row, column, count = cells
+    return np.bincount(row, weights=count * nu[column], minlength=rows)
 
 
 def _competition_ranks(values: list[float]) -> list[int]:
@@ -86,10 +81,9 @@ def score_programs(
         raise ScoringError("duplicate program id in scoring request")
 
     table_rows = [counts.row(pid) for pid in program_ids]
-    columns = np.array([counts.column(venue) for venue in model.venue_index], dtype=np.intp)
-    # Scoring every program of the table reads the matrix through a view;
-    # gathering the requested rows first would copy them, all venues wide.
-    totals = _raw_scores(counts.matrix.T, columns, model.nu)[table_rows]
+    nu = np.zeros(len(counts.venue_index))
+    nu[[counts.column(venue) for venue in model.venue_index]] = model.nu
+    totals = _raw_scores(_nonzero_cells(counts.matrix), nu, len(counts.programs))[table_rows]
     raws = dict(zip(program_ids, totals.tolist()))
     sizes = {pid: counts.roster_sizes[pid] for pid in program_ids}
     per_faculty = {pid: raws[pid] / sizes[pid] for pid in program_ids}

@@ -242,6 +242,18 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def left_to_right_scores(block, nu) -> list[float]:
+    """Each row's total of ``count * weight`` over every venue, zero counts
+    included, added left to right from +0.0 in Python floats."""
+    totals = []
+    for counts in block:
+        total = 0.0
+        for count, weight in zip(counts, nu):
+            total += count * weight
+        totals.append(total)
+    return totals
+
+
 def random_stochastic(rng: np.random.Generator, n: int) -> np.ndarray:
     """Strictly positive row-stochastic matrix (hence irreducible, aperiodic)."""
     m = rng.uniform(0.05, 1.0, size=(n, n))

@@ -176,6 +176,16 @@ def test_sweep_requires_enough_reference_programs(walkthrough_corpus):
         stability_sweep(walkthrough_corpus, 10)
 
 
+@pytest.mark.parametrize("k", [2.0, "3", True, None])
+def test_sweep_rejects_a_non_integer_k(walkthrough_corpus, k):
+    with pytest.raises(AnalysisError, match=f"^k must be an integer, got {k!r}$"):
+        stability_sweep(walkthrough_corpus, k)
+
+
+def test_sweep_takes_a_numpy_integer_k(walkthrough_corpus):
+    assert stability_sweep(walkthrough_corpus, np.int64(2)) == stability_sweep(walkthrough_corpus, 2)
+
+
 def test_sweep_requires_candidates():
     corpus = make_corpus(
         pubs=[("p1", "v1", 2010, ["a1"])], refs=[("r1", ["a1"])]

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rscore import (
@@ -14,9 +14,9 @@ from rscore import (
     build_reputation_model,
     score_programs,
 )
-from rscore.scoring import _competition_ranks, _raw_scores
+from rscore.scoring import _competition_ranks, _nonzero_cells, _raw_scores
 
-from helpers import make_corpus, random_corpus
+from helpers import left_to_right_scores, make_corpus, random_corpus
 
 
 def _model_and_counts(corpus, mode=None):
@@ -268,10 +268,29 @@ def test_scores_add_venues_left_to_right():
     assert float(np.sum(np.array(products))) != expected
 
     assert _raw_score(model, counts, "cand") == expected
-    # the stability sweep's shape: a venues x candidates block, one candidate
-    block = np.ascontiguousarray(counts.matrix[1:].T, dtype=np.float64)
-    columns = np.arange(len(model.nu))
-    assert _raw_scores(block, columns, model.nu).tolist() == [expected]
+    # the stability sweep's call: the candidate rows' nonzero cells
+    assert _raw_scores(_nonzero_cells(counts.matrix[1:]), model.nu, 1).tolist() == [expected]
+
+
+@st.composite
+def _blocks_and_weights(draw):
+    rows, venues = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    count = st.one_of(st.just(0), st.integers(1, 1000))
+    flat = draw(st.lists(count, min_size=rows * venues, max_size=rows * venues))
+    weight = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1.0]),
+                       st.floats(min_value=0.0, max_value=1.0))
+    block = [flat[i : i + venues] for i in range(0, len(flat), venues)]
+    return block, draw(st.lists(weight, min_size=venues, max_size=venues))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_blocks_and_weights())
+@example(([[0, 3, 0, 0, 7, 0, 1]], [0.5, 0.1, 1.0, 0.0, 0.3, 5e-324, 0.7]))
+@example(([[2, 0, 5], [0, 0, 0], [0, 9, 0], [4, 4, 4]], [5e-324, 0.0, 0.2]))
+def test_kernel_equals_a_left_to_right_loop(case):
+    block, nu = case
+    totals = _raw_scores(_nonzero_cells(np.array(block, dtype=np.int64)), np.array(nu), len(block))
+    assert totals.tobytes() == np.array(left_to_right_scores(block, nu)).tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
