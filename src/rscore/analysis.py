@@ -3,13 +3,10 @@
 The stability sweep re-solves the model for growing prefixes of the reference
 set and measures how much the candidate ranking moves, using Spearman's rank
 correlation between consecutive prefix sizes and between the smallest and
-largest. The corpus is counted once. Each prefix builds its blocks from a
-slice of the reference rows of that count, over the prefix's own venues, and
-scores the candidates from the nonzero cells of their rows, taken up front;
-no prefix builds a table of its own. Consecutive prefixes are solved as a
-group, with one irreducibility check and one GTH elimination for the whole
-group's stack of aggregated matrices; each prefix gets the bits it would get
-alone.
+largest. The corpus is counted once. The reputation layer solves each
+prefix from a slice of the reference rows of that count, over the prefix's
+own venues, and the sweep scores the candidates from the nonzero cells of
+their rows, taken up front; no prefix builds a table of its own.
 """
 
 from __future__ import annotations
@@ -22,16 +19,13 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import EMPTY_VENUE_SET, Corpus
+from .corpus import Corpus
 from .counts import build_counts
-from .errors import AnalysisError, DegenerateRankingError, EmptyVenueSetError, RScoreError
-from .reputation import _gth_stack, _transition_blocks, _venue_step
-from .scoring import ScoreReport, _nonzero_cells, _raw_scores
+from .errors import AnalysisError, DegenerateRankingError, RScoreError
+from .reputation import _prefix_reputations
+from .scoring import ScoreReport, _by_value, _nonzero_cells, _raw_scores
 
 Ranking = Sequence[str] | Sequence[tuple[str, float]]
-
-# A group of prefixes closes once its betas and its stack hold this many cells (8 MB).
-_GROUP_CELLS = 1 << 20
 
 
 def _rank_map(ranking: Ranking) -> dict[str, float]:
@@ -53,12 +47,15 @@ def _rank_map(ranking: Ranking) -> dict[str, float]:
 
     if any(not isinstance(entry, tuple) or len(entry) != 2 for entry in ranking):
         raise AnalysisError("mixed ranking entries")
+    for pid, score in ranking:
+        # float and int first: a check against the Real ABC alone takes about 1 µs
+        if isinstance(score, bool) or not isinstance(score, (float, int, Real)):
+            raise AnalysisError(f"ranking score of {pid!r} is not a number: {score!r}")
+        if not math.isfinite(score):
+            raise AnalysisError(f"ranking score of {pid!r} is not finite: {score}")
     pairs = [(str(pid), float(score)) for pid, score in ranking]
     if len({pid for pid, _ in pairs}) != len(pairs):
         raise AnalysisError("ranking contains duplicate ids")
-    for pid, score in pairs:
-        if not math.isfinite(score):
-            raise AnalysisError(f"ranking score of {pid!r} is not finite: {score}")
     # Ties hold descending positions n - right + 1 through n - left, where
     # left and right bound the score's run in ascending order.
     n = len(pairs)
@@ -72,10 +69,10 @@ def _rank_map(ranking: Ranking) -> dict[str, float]:
 def spearman(rank_a: Ranking, rank_b: Ranking) -> float:
     """Spearman's rank correlation between two rankings of the same set.
 
-    Accepts either plain orderings of ids or (id, score) pairs; with pairs,
-    tied scores receive average ranks. Computed as the Pearson correlation of
-    the two rank vectors, which reduces to 1 - 6*sum(d^2)/(n(n^2-1)) when
-    tie-free.
+    Accepts either plain orderings of ids or (id, score) pairs with finite
+    real scores, not bools; tied scores receive average ranks. Computed as
+    the Pearson correlation of the two rank vectors, which reduces to
+    1 - 6*sum(d^2)/(n(n^2-1)) when tie-free.
     """
     return _correlate_ranks(_rank_map(rank_a), _rank_map(rank_b))
 
@@ -131,52 +128,20 @@ def stability_sweep(corpus: Corpus, k: int) -> StabilityReport:
 
     ranks: dict[int, dict[str, float]] = {}
     rankings: dict[int, tuple[str, ...]] = {}
-    # A corpus with no reference venue fails on its smallest prefix.
-    size = 1
     try:
         counts = build_counts(corpus)
-        programs = counts.reference_programs
-        reference = counts.matrix[: len(programs)]
-        nonzeros = _nonzero_cells(counts.matrix[len(programs) :])
+        t = len(counts.reference_programs)
+        nonzeros = _nonzero_cells(counts.matrix[t:])
         # A prefix's columns hold every earlier prefix's, so it leaves no stale entry.
         nu = np.zeros(len(counts.venue_index))
-        # A prefix's venues are those its programs publish in, so each
-        # prefix adds its last program's venues to the set before it.
-        seen = np.zeros(len(counts.venue_index), dtype=bool)
-        while len(ranks) < k:
-            # Phase 1, per prefix: blocks and aggregate, until one fails or
-            # the group's betas and stack hold _GROUP_CELLS cells.
-            group, failure, cells = [], None, 0
-            for size in range(len(ranks) + 1, k + 1):
-                seen |= reference[size - 1] > 0
-                columns = np.flatnonzero(seen)
-                try:
-                    if columns.size == 0:
-                        raise EmptyVenueSetError(EMPTY_VENUE_SET)
-                    _, beta, p_prime = _transition_blocks(reference[:size, columns], programs[:size])
-                except RScoreError as exc:
-                    failure = size, exc
-                    break
-                group.append((size, columns, beta, p_prime))
-                cells += beta.size
-                if cells + len(group) * size**2 >= _GROUP_CELLS:
-                    break
-            # Phase 2: one irreducibility check and one elimination.
-            gammas, reducible = _gth_stack([p_prime for *_, p_prime in group])
-            if reducible is not None:
-                failure = group[len(gammas)][0], reducible
-            # Phase 3, per prefix, smallest first: the first failure names its size.
-            for (size, columns, beta, p_prime), gamma in zip(group, gammas):
-                nu[columns] = _venue_step(p_prime, gamma, beta)
-                raws = _raw_scores(nonzeros, nu, len(candidates)).tolist()
-                scored = sorted(zip(candidates, raws), key=lambda item: (-item[1], item[0]))
-                ranks[size] = _rank_map(scored)
-                rankings[size] = tuple(pid for pid, _ in scored)
-            if failure is not None:
-                size, exc = failure
-                raise exc
+        prefixes = _prefix_reputations(counts.matrix[:t], counts.reference_programs, k)
+        for size, (columns, prefix_nu) in enumerate(prefixes, start=1):
+            nu[columns] = prefix_nu
+            scored = _by_value(candidates, _raw_scores(nonzeros, nu, len(candidates)).tolist())
+            ranks[size] = _rank_map(scored)
+            rankings[size] = tuple(pid for pid, _ in scored)
     except RScoreError as exc:
-        raise AnalysisError(f"reference-set size {size}: {exc}") from exc
+        raise AnalysisError(f"reference-set size {len(ranks) + 1}: {exc}") from exc
 
     def correlate(i: int, j: int) -> float:
         try:
@@ -230,14 +195,15 @@ def compare_rankings(
     Only programs present on both sides are compared. Higher grades rank
     better, mirroring the score direction; equal grades are tie-grouped with
     average ranks. Each entry must be an (id, grade) tuple with a string id
-    and a finite real grade; anything else raises :class:`AnalysisError`.
+    and a finite real grade, not a bool; anything else raises
+    :class:`AnalysisError`.
     """
     grades = {}
     for entry in external:
         if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)):
             raise AnalysisError(f"external grade entry {entry!r} is not an (id, grade) pair")
         pid, grade = entry
-        if not (isinstance(grade, Real) and math.isfinite(grade)):
+        if isinstance(grade, bool) or not (isinstance(grade, Real) and math.isfinite(grade)):
             raise AnalysisError(f"grade of {pid!r} is not a finite number: {grade!r}")
         if pid in grades:
             raise AnalysisError(f"duplicate program id {pid!r} in external grades")

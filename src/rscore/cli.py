@@ -25,7 +25,7 @@ from .corpus import Corpus, parse_corpus, reference_venue_set
 from .counts import CountsTable, VenueMode, build_counts
 from .errors import AnalysisError, CorpusError, RScoreError
 from .reputation import ReputationModel, build_reputation_model
-from .scoring import ScoreReport, score_programs
+from .scoring import ScoreReport, _by_value, score_programs
 
 _VENUE_MODES = {
     "per-program": VenueMode.PER_PROGRAM,
@@ -223,10 +223,9 @@ def _cmd_venues(args: argparse.Namespace) -> int:
         sys.stdout.write("\n".join(lines))
         sys.stdout.write("\n")
         return 0
-    ranked = sorted(zip(model.venue_index, model.nu), key=lambda item: (-item[1], item[0]))
     _emit(args, {
         "model_digest": model.digest if args.json else None,
-        "venues": _Table("venue nu", "%s\t%.6f", ((v, float(nu)) for v, nu in ranked)),
+        "venues": _Table("venue nu", "%s\t%.6f", _by_value(model.venue_index, model.nu.tolist())),
     })
     return 0
 

@@ -146,9 +146,9 @@ class Corpus:
 
     @cached_property
     def _members(self) -> list[tuple[str, AuthorId]]:
-        """Roster members as (program id, member), in :attr:`programs` order;
-        a member's number is its position."""
-        return [(roster.program_id, m) for roster in self.programs for m in roster.faculty]
+        """Roster members as (program id, member), sorted; a member's number is its position."""
+        by_id = sorted(self.programs, key=lambda roster: roster.program_id)
+        return [(roster.program_id, m) for roster in by_id for m in sorted(roster.faculty)]
 
     @cached_property
     def _member_papers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,7 +158,8 @@ class Corpus:
         authors = self._authors
         member = np.fromiter(map(number.get, chain.from_iterable(authors), repeat(-1)), np.int64)
         paper = np.repeat(np.arange(len(authors)), list(map(len, authors)))
-        home = np.repeat(np.arange(len(self.programs)), [len(r.faculty) for r in self.programs])
+        row = {roster.program_id: r for r, roster in enumerate(self.programs)}
+        home = np.array([row[program] for program, _ in self._members], dtype=np.int64)
         return paper[member >= 0], member[member >= 0], home
 
     def _paper_columns(self, columns: Mapping[VenueId, int]) -> np.ndarray:

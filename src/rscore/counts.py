@@ -160,17 +160,13 @@ class CountsTable:
 
         Built on first read from the corpus's roster authorships, the
         numpy arrays that the counts came from, and ordered by key: roster
-        members are renumbered in (program, member) order and venue columns
+        members are numbered in (program, member) order and venue columns
         follow venue id order, so the tallies, sorted by (member, column),
         come in key order. Papers are tallied per cell and per number ``d``
         of authors from the member's roster, and each cell's tallies are
         summed exactly, in Python integers, into one fraction.
         """
-        members = self.corpus._members
-        by_key = sorted(range(len(members)), key=members.__getitem__)
-        position = np.empty(len(members), dtype=np.int64)
-        position[by_key] = np.arange(len(members))
-        member, column, same_roster, papers = self._faculty_tallies(position)
+        member, column, same_roster, papers = self._faculty_tallies()
         closes = np.ones(len(member), dtype=bool)
         closes[:-1] = (member[1:] != member[:-1]) | (column[1:] != column[:-1])
 
@@ -189,20 +185,16 @@ class CountsTable:
                 numerator, denominator = 0, 1
 
         # Object-array indexing gathers the key parts faster than a loop.
-        ids = np.array(members, dtype=object).reshape(-1, 2)[by_key][member[closes]]
+        ids = np.array(self.corpus._members, dtype=object).reshape(-1, 2)[member[closes]]
         venues = np.array(self.venue_index, dtype=object)[column[closes]]
         keys = zip(ids[:, 0].tolist(), ids[:, 1].tolist(), venues.tolist())
         return dict(zip(keys, weights))
 
-    def _faculty_tallies(
-        self, position: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Papers per (member, column, d), in that order, as four arrays.
+    def _faculty_tallies(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Papers per (member number, column, d), in that order, as four arrays.
 
-        ``position`` renumbers the corpus's roster members; ``d`` is the
-        number of the paper's authors on the member's roster. The arrays
-        this call builds live only in it, so they are gone before the
-        table is built.
+        ``d`` is the number of the paper's authors on the member's roster. The
+        arrays built here are gone before the table is built.
         """
         paper, member, home = self.corpus._member_papers
         column = self.corpus._paper_columns(self._columns)[paper]
@@ -213,7 +205,6 @@ class CountsTable:
             return_inverse=True, return_counts=True,
         )
         same_roster = group_size[group]
-        member = position[member]
 
         order = np.lexsort((same_roster, column, member))
         member, column, same_roster = member[order], column[order], same_roster[order]

@@ -6,26 +6,31 @@ and a venue distributes its reputation over the programs that fill it
 (publication-share columns ``alpha``). The two-block chain is periodic, so it
 is never solved directly; only the program-to-program aggregation
 ``beta @ alpha`` is, via Grassmann-Taksar-Heyman state reduction. Venue
-reputations follow by one more transition step.
+reputations follow by one more transition step. The stability sweep's
+prefixes of the reference programs are solved here too, a group at a time
+with one GTH elimination, each with the bits it would get alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import EMPTY_VENUE_SET
 from .counts import CountsTable
-from .errors import ModelError, ReducibleChainError
+from .errors import EmptyVenueSetError, ModelError, RScoreError, ReducibleChainError
 
 # Build-time stochasticity assertions on the raw matrices.
 ROW_SUM_TOL = 1e-12
 # Aggregated rows and the stationary fixed point.
 AGGREGATE_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
+# A group of prefixes closes once its betas and its GTH stack hold this many cells (8 MB).
+_GROUP_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -92,11 +97,13 @@ def _transition_blocks(
     sums, transposed. Counts and sums are integers below 2**53, so each
     entry is the correctly rounded quotient.
 
-    Every reference program must have at least one paper in the venue set,
-    otherwise its outgoing row would be undefined.
+    The block needs a venue column, and every reference program a paper in
+    one, otherwise its outgoing row would be undefined.
     """
     if len(programs) == 0:
         raise ModelError("no reference programs")
+    if reference.shape[1] == 0:
+        raise EmptyVenueSetError(EMPTY_VENUE_SET)
     # The blocks inherit the layout of the counts, and a matrix product
     # over a Fortran-ordered beta adds in another order and changes the
     # last bits of the model; a C-ordered block makes the bits independent
@@ -125,6 +132,36 @@ def _transition_blocks(
     if np.max(np.abs(p_prime.sum(axis=1) - 1.0)) > AGGREGATE_TOL:
         raise ModelError("aggregated matrix is not row-stochastic")
     return alpha, beta, p_prime
+
+
+def _prefix_reputations(
+    reference: np.ndarray, programs: Sequence[str], k: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(venue columns, nu) of each prefix of 1..k rows of an integer reference
+    block, smallest first; a prefix's venues are those its rows publish in.
+
+    Prefixes are solved in groups, one :func:`_gth_stack` call each. The
+    first prefix that fails raises its error once every smaller one is yielded.
+    """
+    seen = np.zeros(reference.shape[1], dtype=bool)
+    group, cells, failure = [], 0, None
+    for size in range(1, k + 1):
+        seen |= reference[size - 1] > 0
+        columns = np.flatnonzero(seen)
+        try:
+            _, beta, p_prime = _transition_blocks(reference[:size, columns], programs[:size])
+        except RScoreError as exc:
+            failure = exc
+        else:
+            group.append((columns, beta, p_prime))
+            cells += beta.size
+        if failure is not None or size == k or cells + len(group) * size**2 >= _GROUP_CELLS:
+            gammas, reducible = _gth_stack([p_prime for *_, p_prime in group])
+            for (columns, beta, p_prime), gamma in zip(group, gammas):
+                yield columns, _venue_step(p_prime, gamma, beta)
+            if reducible is not None or failure is not None:
+                raise reducible or failure
+            group, cells = [], 0
 
 
 def _closure(adjacency: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ in [0, 1]; dividing by roster size first gives the per-faculty variant.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,11 @@ def _raw_scores(cells: tuple[np.ndarray, ...], nu: np.ndarray, rows: int) -> np.
     return np.bincount(row, weights=count * nu[column], minlength=rows)
 
 
+def _by_value(ids: Sequence[str], values: Iterable[float]) -> list[tuple[str, float]]:
+    """(id, value) pairs by descending value, then id: the order of every printed ranking."""
+    return sorted(zip(ids, values), key=lambda item: (-item[1], item[0]))
+
+
 def _competition_ranks(values: list[float]) -> list[int]:
     # 1-based; ties share the smaller rank and the next rank skips: one plus
     # the number of strictly larger values.
@@ -92,7 +98,7 @@ def score_programs(
     max_pf = max(per_faculty.values())
     zero_scores = max_raw == 0.0
 
-    ordered = sorted(program_ids, key=lambda pid: (-raws[pid], pid))
+    ordered = [pid for pid, _ in _by_value(program_ids, raws.values())]
     rank_total = dict(zip(ordered, _competition_ranks([raws[p] for p in ordered])))
     rank_pf = dict(zip(ordered, _competition_ranks([per_faculty[p] for p in ordered])))
 

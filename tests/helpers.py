@@ -143,6 +143,47 @@ def oracle_counts(corpus: Corpus, distinct: bool = False):
     return venue_set, per_faculty, per_program_venue, per_venue, per_program
 
 
+def oracle_model(corpus: Corpus):
+    """The reputation model in exact rationals: beta, alpha, p_prime, gamma and
+    nu as nested lists of Fractions, programs and venues in table order.
+
+    The counts are whole numbers, so every entry is a rational. beta is each
+    reference program's venue counts over its total, alpha each venue's counts
+    over the reference programs' total in it, p_prime = beta alpha, gamma the
+    stationary vector of p_prime and nu = gamma beta over its largest entry.
+    """
+    venue_set, _, per_program_venue, per_venue, per_program = oracle_counts(corpus)
+    programs = [roster.program_id for roster in corpus.reference_programs]
+    count = [[per_program_venue.get((pid, v), Fraction(0)) for v in venue_set] for pid in programs]
+    beta = [[c / per_program[pid] for c in row] for pid, row in zip(programs, count)]
+    alpha = [[row[j] / per_venue[v] for row in count] for j, v in enumerate(venue_set)]
+    p_prime = [[sum((b * a[w] for b, a in zip(row, alpha)), start=Fraction(0))
+                for w in range(len(programs))] for row in beta]
+    gamma = exact_gth(p_prime)
+    nu = [sum((g * row[j] for g, row in zip(gamma, beta)), start=Fraction(0))
+          for j in range(len(venue_set))]
+    top = max(nu)
+    return beta, alpha, p_prime, gamma, [value / top for value in nu]
+
+
+def exact_gth(p):
+    """Stationary vector of an irreducible stochastic matrix of Fractions by
+    GTH state reduction, exact because it only adds, multiplies and divides."""
+    a = [list(row) for row in p]
+    n = len(a)
+    for k in range(n - 1):
+        pivot = sum(a[k][k + 1 :], start=Fraction(0))
+        for i in range(k + 1, n):
+            a[i][k] /= pivot
+            for j in range(k + 1, n):
+                a[i][j] += a[i][k] * a[k][j]
+    x = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for k in range(n - 2, -1, -1):
+        x[k] = sum((x[i] * a[i][k] for i in range(k + 1, n)), start=Fraction(0))
+    total = sum(x, start=Fraction(0))
+    return [value / total for value in x]
+
+
 class OracleReject(Exception):
     """The oracle's verdict on bad input: the expected error text."""
 

@@ -258,6 +258,7 @@ def test_sweep_counts_once_and_builds_one_table(whole, monkeypatch):
     # prefixes are views of the one count: no recount and no table per
     # prefix; and each prefix is ranked once, not once per comparison
     import rscore.analysis
+    import rscore.reputation
     from rscore import CountsTable
 
     corpus = random_corpus(np.random.default_rng(557), n_ref=5, hub=True)
@@ -277,9 +278,9 @@ def test_sweep_counts_once_and_builds_one_table(whole, monkeypatch):
     )
     # and all the prefixes are solved as one stack
     stacked = []
-    gth_stack = rscore.analysis._gth_stack
+    gth_stack = rscore.reputation._gth_stack
     monkeypatch.setattr(
-        rscore.analysis, "_gth_stack", lambda matrices: stacked.append(1) or gth_stack(matrices)
+        rscore.reputation, "_gth_stack", lambda matrices: stacked.append(1) or gth_stack(matrices)
     )
     k = len(corpus.reference_programs) if whole else 1
     stability_sweep(corpus, k)
@@ -293,17 +294,17 @@ def test_sweep_counts_once_and_builds_one_table(whole, monkeypatch):
 def test_sweep_in_groups_gives_the_same_report(cells, monkeypatch):
     # a smaller cell cap splits the prefixes into more groups, one stacked
     # solve each, and changes nothing in the report
-    import rscore.analysis
+    import rscore.reputation
 
     corpus = random_corpus(np.random.default_rng(558), n_ref=9, n_cand=5, hub=True)
     whole = stability_sweep(corpus, 9)
     groups = []
-    gth_stack = rscore.analysis._gth_stack
+    gth_stack = rscore.reputation._gth_stack
     monkeypatch.setattr(
-        rscore.analysis, "_gth_stack",
+        rscore.reputation, "_gth_stack",
         lambda matrices: groups.append(len(matrices)) or gth_stack(matrices),
     )
-    monkeypatch.setattr(rscore.analysis, "_GROUP_CELLS", cells)
+    monkeypatch.setattr(rscore.reputation, "_GROUP_CELLS", cells)
     assert stability_sweep(corpus, 9) == whole
     assert sum(groups) == 9
     assert len(groups) > 1
@@ -316,9 +317,9 @@ def test_sweep_names_the_smallest_failing_size_first(cells, monkeypatch):
     # size 2 is reducible (its two programs share no venue), and size 3 has
     # a reference program with no paper; the stacked check must still name
     # size 2, as a prefix-by-prefix solve does
-    import rscore.analysis
+    import rscore.reputation
 
-    monkeypatch.setattr(rscore.analysis, "_GROUP_CELLS", cells)
+    monkeypatch.setattr(rscore.reputation, "_GROUP_CELLS", cells)
     pubs = [
         ("p1", "v1", 2010, ["a1"]),
         ("p2", "v2", 2010, ["b1"]),
@@ -407,6 +408,21 @@ def test_compare_malformed_grade_entries_rejected(grades, message):
     report = _report([("a", 3.0, 1.0, 1), ("b", 2.0, 0.66, 2)])
     with pytest.raises(AnalysisError, match=message):
         compare_rankings(report, grades)
+
+
+def test_bool_grades_and_string_scores_are_rejected():
+    # float() takes both, so True and False used to grade as 1.0 and 0.0 and
+    # "1.5" to score as 1.5; numpy numbers are still numbers
+    report = _report([("a", 3.0, 1.0, 1), ("b", 2.0, 0.66, 2), ("c", 1.0, 0.33, 3)])
+    with pytest.raises(AnalysisError, match="^grade of 'a' is not a finite number: True$"):
+        compare_rankings(report, [("a", True), ("b", False), ("c", 0.5)])
+    with pytest.raises(AnalysisError, match="^ranking score of 'a' is not a number: '1.5'$"):
+        spearman([("a", "1.5"), ("b", "0")], [("a", 1.0), ("b", 0.0)])
+    with pytest.raises(AnalysisError, match="^ranking score of 'b' is not a number: False$"):
+        spearman([("a", 1.0), ("b", False)], [("a", 1.0), ("b", 0.0)])
+    assert spearman([("a", np.float64(1.5)), ("b", np.int64(0))], [("a", 1.0), ("b", 0.0)]) == 1.0
+    grades = [("a", np.float32(3.0)), ("b", np.int64(2)), ("c", 1)]
+    assert compare_rankings(report, grades).rho == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

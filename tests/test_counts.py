@@ -268,6 +268,20 @@ def test_counts_are_one_integer_matrix(walkthrough_counts):
     assert walkthrough_counts.venue_totals.tolist() == [5, 6, 3]
 
 
+def test_roster_members_are_numbered_in_key_order():
+    # numbers follow (program id, member id), not the program order of the
+    # file or a roster's frozenset order, which moves with the hash seed
+    corpus = make_corpus(
+        pubs=[("p1", "v1", 2010, ["z.b", "a.c"]), ("p2", "v1", 2010, ["z.a", "a.a"])],
+        refs=[("z", ["z.b", "z.a", "z.c"])], cands=[("a", ["a.c", "a.a", "a.b"])],
+    )
+    members = [("a", "a.a"), ("a", "a.b"), ("a", "a.c"), ("z", "z.a"), ("z", "z.b"), ("z", "z.c")]
+    assert corpus._members == members
+    paper, member, home = corpus._member_papers
+    assert [members[m][1] for m in member] == ["z.b", "a.c", "z.a", "a.a"]
+    assert home.tolist() == [1, 1, 1, 0, 0, 0]
+
+
 def test_count_arrays_are_read_only(walkthrough_corpus):
     counts = build_counts(walkthrough_corpus)
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rscore import (
+    EmptyVenueSetError,
     ModelError,
     ReducibleChainError,
     VenueMode,
@@ -19,14 +20,17 @@ from rscore import (
 from rscore.reputation import (
     _closure,
     _gth_stack,
+    _prefix_reputations,
     _strongly_connected_components,
     _transition_blocks,
 )
 
 from helpers import (
+    exact_gth,
     gth_one_matrix,
     make_corpus,
     naive_matmul,
+    oracle_model,
     power_iteration,
     random_corpus,
     random_stochastic,
@@ -306,6 +310,12 @@ def test_transitions_require_reference_programs():
         _transition_blocks(np.zeros((0, 0), dtype=np.int64), [])
 
 
+def test_transitions_reject_a_block_with_no_venue():
+    # a sweep prefix whose programs never publish has no venue columns
+    with pytest.raises(EmptyVenueSetError, match="the venue set is empty"):
+        _transition_blocks(np.zeros((1, 0), dtype=np.int64), ["silent"])
+
+
 def test_gth_reducible_components_are_ordered_by_smallest_state():
     # 1 -> 3 -> 1 and 0 <-> 2, plus a one-way edge 2 -> 1
     p = np.array(
@@ -411,3 +421,46 @@ def test_gth_zero_pivot_guard_names_the_state_in_its_own_matrix(monkeypatch):
     irreducible = sparse_irreducible_stochastic(np.random.default_rng(20266), 5)
     with pytest.raises(ModelError, match="^zero pivot while eliminating state 1$"):
         _gth_stack([stalled, irreducible])
+
+
+def test_exact_gth_solves_a_chain_exactly():
+    # two states that swap with probability 1/3 and 1/2 spend 3/5 and 2/5 of the time
+    p = [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 2)]]
+    assert exact_gth(p) == [Fraction(3, 5), Fraction(2, 5)]
+
+
+def test_model_is_within_a_few_ulps_of_the_exact_model():
+    # GTH never subtracts, so it is accurate entry by entry (O'Cinneide 1993,
+    # Numer. Math. 65): every gamma and nu entry is within 32 units in the last
+    # place of the exact rational one, and an exact zero comes out as 0.0
+    from test_golden import _random_corpus
+
+    corpora = [_random_corpus()] + [
+        random_corpus(np.random.default_rng(71000 + i), n_ref=6, n_venues=20, n_papers=300,
+                      hub=True)
+        for i in range(40)
+    ]
+    bound = Fraction(32, 2**53)
+    for corpus in corpora:
+        model = build_reputation_model(build_counts(corpus))
+        *_, gamma, nu = oracle_model(corpus)
+        for floats, exact in ((model.gamma, gamma), (model.nu, nu)):
+            assert len(floats) == len(exact)
+            for value, truth in zip(floats.tolist(), exact):
+                assert abs(Fraction(value) - truth) <= bound * truth
+
+
+def test_prefix_reputations_equal_the_model_of_each_prefix():
+    # each yielded prefix is the model of that prefix's rows alone, bit for bit,
+    # over the venues those rows publish in
+    counts = build_counts(random_corpus(np.random.default_rng(559), n_ref=6, hub=True))
+    t = len(counts.reference_programs)
+    reference = counts.matrix[:t]
+    prefixes = list(_prefix_reputations(reference, counts.reference_programs, t))
+    assert len(prefixes) == t
+    for size, (columns, nu) in enumerate(prefixes, start=1):
+        assert columns.tolist() == np.flatnonzero(reference[:size].any(axis=0)).tolist()
+        programs = counts.reference_programs[:size]
+        _, beta, p_prime = _transition_blocks(reference[:size, columns], programs)
+        expected = gth_one_matrix(p_prime) @ beta
+        assert nu.tobytes() == (expected / expected.max()).tobytes()
