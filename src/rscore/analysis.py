@@ -47,12 +47,15 @@ def _rank_map(ranking: Ranking) -> dict[str, float]:
 
     if any(not isinstance(entry, tuple) or len(entry) != 2 for entry in ranking):
         raise AnalysisError("mixed ranking entries")
-    for pid, score in ranking:
-        # float and int first: a check against the Real ABC alone takes about 1 µs
-        if isinstance(score, bool) or not isinstance(score, (float, int, Real)):
-            raise AnalysisError(f"ranking score of {pid!r} is not a number: {score!r}")
-        if not math.isfinite(score):
-            raise AnalysisError(f"ranking score of {pid!r} is not finite: {score}")
+    try:  # around the loop, not in it: the sweep ranks every prefix here
+        for pid, score in ranking:
+            # float and int first: a check against the Real ABC alone takes about 1 µs
+            if isinstance(score, bool) or not isinstance(score, (float, int, Real)):
+                raise AnalysisError(f"ranking score of {pid!r} is not a number: {score!r}")
+            if not math.isfinite(score):
+                raise AnalysisError(f"ranking score of {pid!r} is not finite: {score}")
+    except OverflowError:  # an int or a rational too large for a float
+        raise AnalysisError(f"ranking score of {pid!r} is too large for a float") from None
     pairs = [(str(pid), float(score)) for pid, score in ranking]
     if len({pid for pid, _ in pairs}) != len(pairs):
         raise AnalysisError("ranking contains duplicate ids")
@@ -203,7 +206,11 @@ def compare_rankings(
         if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)):
             raise AnalysisError(f"external grade entry {entry!r} is not an (id, grade) pair")
         pid, grade = entry
-        if isinstance(grade, bool) or not (isinstance(grade, Real) and math.isfinite(grade)):
+        try:
+            finite = isinstance(grade, Real) and math.isfinite(grade)
+        except OverflowError:  # an int or a rational too large for a float
+            raise AnalysisError(f"grade of {pid!r} is too large for a float") from None
+        if isinstance(grade, bool) or not finite:
             raise AnalysisError(f"grade of {pid!r} is not a finite number: {grade!r}")
         if pid in grades:
             raise AnalysisError(f"duplicate program id {pid!r} in external grades")

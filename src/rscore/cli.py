@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
 from collections.abc import Iterable, Sequence
@@ -172,9 +171,6 @@ def _cmd_counts(args: argparse.Namespace) -> int:
     mode = counts.venue_mode.value
     # Rows hold the reference programs first, then the candidates.
     n_reference = len(counts.reference_programs)
-    # The per-faculty table is already in (program, faculty, venue) order.
-    faculty = counts.per_faculty_venue
-    ratios = map(Fraction.as_integer_ratio, faculty.values())
     # Whole-paper counts are ints, so their exact form is "c/1".
     _emit(args, {
         "venue_mode": mode,
@@ -194,11 +190,10 @@ def _cmd_counts(args: argparse.Namespace) -> int:
             ((p, v, float(c), f"{c}/1") for (p, v), c in counts.per_program_venue.items()),
             "# program_venue",
         ),
-        # n / d is the correctly rounded float that float(Fraction(n, d)) gives.
+        # Streamed in (program, faculty, venue) order; no per-faculty dict is built.
         "faculty_venue": _Table(
             "program faculty venue count exact", "%s\t%s\t%s\t%.6f\t%s",
-            ((p, f, v, n / d, f"{n}/{d}") for (p, f, v), (n, d) in zip(faculty, ratios)),
-            "# faculty_venue",
+            counts._faculty_rows(), "# faculty_venue",
         ),
     })
     return 0

@@ -6,22 +6,25 @@ distinct papers. Co-authors from outside the roster never dilute the weight.
 
 The model needs only those whole numbers, so they are kept in one integer
 matrix of programs x reference venues. Exact rationals appear only in the
-per-faculty table, built when first read. Both are numpy passes over the
+per-faculty rows, made from integer tallies. Both are numpy passes over the
 corpus's columns, with each roster member's authorships mapped once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from math import gcd
 
 import numpy as np
 
 from .corpus import AuthorId, Corpus, VenueId, reference_venue_set
 from .errors import CountsError
+
+_KEY_LIMIT = 2**63  # a tally key below it fits in an int64
 
 
 class VenueMode(str, Enum):
@@ -115,9 +118,7 @@ class CountsTable:
     def faculty_venue(self, program_id: str, faculty: AuthorId, venue: VenueId) -> Fraction:
         """Co-author-weighted paper count for one faculty member in one venue."""
         if faculty not in self.corpus.programs[self.row(program_id)].faculty:
-            raise CountsError(
-                f"faculty member {faculty!r} is not in the roster of {program_id!r}"
-            )
+            raise CountsError(f"faculty member {faculty!r} is not in the roster of {program_id!r}")
         self.column(venue)
         return self.per_faculty_venue.get((program_id, faculty, venue), Fraction(0))
 
@@ -139,12 +140,8 @@ class CountsTable:
         # np.nonzero walks the matrix in row-major order: programs, then venues.
         rows, columns = np.nonzero(self.matrix)
         programs, venues = self.programs, self.venue_index
-        return {
-            (programs[r], venues[j]): count
-            for r, j, count in zip(
-                rows.tolist(), columns.tolist(), self.matrix[rows, columns].tolist()
-            )
-        }
+        cells = zip(rows.tolist(), columns.tolist(), self.matrix[rows, columns].tolist())
+        return {(programs[r], venues[j]): count for r, j, count in cells}
 
     @cached_property
     def per_venue(self) -> Mapping[VenueId, int]:
@@ -156,67 +153,67 @@ class CountsTable:
 
     @cached_property
     def per_faculty_venue(self) -> Mapping[tuple[str, AuthorId, VenueId], Fraction]:
-        """Nonzero ``faculty_venue`` weights keyed by (program, member, venue).
+        """Nonzero ``faculty_venue`` weights as Fractions, in ``_faculty_rows``' key order."""
+        fraction = cache(Fraction)
+        return {(p, f, v): fraction(exact) for p, f, v, _, exact in self._faculty_rows()}
 
-        Built on first read from the corpus's roster authorships, the
-        numpy arrays that the counts came from, and ordered by key: roster
-        members are numbered in (program, member) order and venue columns
-        follow venue id order, so the tallies, sorted by (member, column),
-        come in key order. Papers are tallied per cell and per number ``d``
-        of authors from the member's roster, and each cell's tallies are
-        summed exactly, in Python integers, into one fraction.
+    def _faculty_rows(self) -> Iterator[tuple[str, AuthorId, VenueId, float, str]]:
+        """(program, member, venue, weight, "n/d") for every nonzero weight, in key order.
+
+        Members are numbered in (program, member) order and columns follow
+        venue id order, so the tallies come in key order. A cell's tallies are
+        summed exactly in Python integers, and each distinct sum is reduced,
+        and its float and text made, once: cells share few of them.
         """
         member, column, same_roster, papers = self._faculty_tallies()
-        closes = np.ones(len(member), dtype=bool)
-        closes[:-1] = (member[1:] != member[:-1]) | (column[1:] != column[:-1])
+        closes = np.append((member[1:] != member[:-1]) | (column[1:] != column[:-1]), True)
+        cells = zip(map(self.corpus._members.__getitem__, member[closes].tolist()),
+                    map(self.venue_index.__getitem__, column[closes].tolist()))
 
-        # Cells share few distinct weights, so each is built once.
-        fractions: dict[tuple[int, int], Fraction] = {}
-        weights: list[Fraction] = []
+        @cache
+        def weight(numerator: int, denominator: int) -> tuple[float, str]:
+            # int / int is correctly rounded: the unreduced pair gives n / d's float.
+            g = gcd(numerator, denominator)
+            return numerator / denominator, f"{numerator // g}/{denominator // g}"
+
         numerator, denominator = 0, 1
         for d, n, close in zip(same_roster.tolist(), papers.tolist(), closes.tolist()):
             numerator, denominator = numerator * d + n * denominator, denominator * d
             if close:
-                key = numerator, denominator
-                value = fractions.get(key)
-                if value is None:
-                    value = fractions[key] = Fraction(numerator, denominator)
-                weights.append(value)
+                (program, faculty), venue = next(cells)
+                yield program, faculty, venue, *weight(numerator, denominator)
                 numerator, denominator = 0, 1
 
-        # Object-array indexing gathers the key parts faster than a loop.
-        ids = np.array(self.corpus._members, dtype=object).reshape(-1, 2)[member[closes]]
-        venues = np.array(self.venue_index, dtype=object)[column[closes]]
-        keys = zip(ids[:, 0].tolist(), ids[:, 1].tolist(), venues.tolist())
-        return dict(zip(keys, weights))
-
     def _faculty_tallies(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Papers per (member number, column, d), in that order, as four arrays.
-
-        ``d`` is the number of the paper's authors on the member's roster. The
-        arrays built here are gone before the table is built.
-        """
+        """Papers per (member number, column, d), in that order, as four arrays;
+        ``d`` is the number of the paper's authors on the member's roster."""
         paper, member, home = self.corpus._member_papers
         column = self.corpus._paper_columns(self._columns)[paper]
         keep = column >= 0
         paper, member, column = paper[keep], member[keep], column[keep]
-        _, group, group_size = np.unique(
-            paper * len(self.programs) + home[member],
-            return_inverse=True, return_counts=True,
-        )
-        same_roster = group_size[group]
+        # Authorships come in paper order, so a stable sort by (paper, program)
+        # is quick; it lines up each paper's authors from one roster, and d is
+        # the length of their run.
+        group = paper * len(self.programs) + home[member]
+        order = np.argsort(group, kind="stable")
+        runs = np.diff(np.flatnonzero(np.append(np.diff(group[order]), 1)), prepend=-1)
+        same_roster = np.empty_like(order)
+        same_roster[order] = np.repeat(runs, runs)
 
-        order = np.lexsort((same_roster, column, member))
-        member, column, same_roster = member[order], column[order], same_roster[order]
-        last = np.ones(len(member), dtype=bool)
-        last[:-1] = (
-            (member[1:] != member[:-1])
-            | (column[1:] != column[:-1])
-            | (same_roster[1:] != same_roster[:-1])
-        )
-        ends = np.flatnonzero(last)
-        papers = np.diff(ends, prepend=-1)
-        return member[ends], column[ends], same_roster[ends], papers
+        # One sort of one key orders the tallies by (member, column, d). The cell
+        # member * v + column is below members * v, far under 2**63 for any corpus
+        # that fits in memory; times the largest d + 1, a corpus built to that end
+        # can pass 2**63. Such a corpus has its cells numbered densely first, which
+        # keeps the key below authorships * (authorships + 1).
+        v, top = len(self.venue_index), int(same_roster.max(initial=0)) + 1
+        cell, cells = member * v + column, None
+        if len(self.corpus._members) * v * top > _KEY_LIMIT:
+            cells, cell = np.unique(cell, return_inverse=True)
+        key = np.sort(cell * top + same_roster)
+        ends = np.flatnonzero(np.append(key[1:] != key[:-1], True))
+        cell, same_roster = np.divmod(key[ends], top)
+        member, column = np.divmod(cell if cells is None else cells[cell], v)
+        return member, column, same_roster, np.diff(ends, prepend=-1)
 
 
 def build_counts(

@@ -410,6 +410,14 @@ def test_compare_malformed_grade_entries_rejected(grades, message):
         compare_rankings(report, grades)
 
 
+def test_compare_grade_too_large_for_a_float_is_an_analysis_error():
+    report = _report([("a", 3.0, 1.0, 1), ("b", 2.0, 0.66, 2)])
+    with pytest.raises(AnalysisError, match="grade of 'a' is too large for a float"):
+        compare_rankings(report, [("a", 10**400)])
+    with pytest.raises(AnalysisError, match="grade of 'b' is too large for a float"):
+        compare_rankings(report, [("a", 1.0), ("b", Fraction(-(10**400)))])
+
+
 def test_bool_grades_and_string_scores_are_rejected():
     # float() takes both, so True and False used to grade as 1.0 and 0.0 and
     # "1.5" to score as 1.5; numpy numbers are still numbers
@@ -559,6 +567,13 @@ def test_sweep_equals_prefix_rebuilds_from_oracle_counts(
 def test_spearman_rejects_non_finite_scores(bad):
     with pytest.raises(AnalysisError, match="not finite"):
         spearman([("a", 1.0), ("b", bad), ("c", 0.0)], [("a", 1.0), ("b", 2.0), ("c", 0.0)])
+
+
+def test_spearman_score_too_large_for_a_float_is_an_analysis_error():
+    with pytest.raises(AnalysisError, match="score of 'a' is too large for a float"):
+        spearman([("a", 10**400), ("b", 0)], [("a", 1.0), ("b", 0.0)])
+    with pytest.raises(AnalysisError, match="score of 'b' is too large for a float"):
+        spearman([("a", 1.0), ("b", 0.0)], [("a", 1), ("b", Fraction(10**400, 3))])
 
 
 _IDS = st.sampled_from("abcdef")

@@ -444,21 +444,25 @@ def test_tsv_report_is_written_in_blocks_that_make_one_text(monkeypatch):
 
 
 def test_per_faculty_table_built_only_by_counts(walkthrough_args, fixture_dir, monkeypatch, capsys):
+    # counts streams its rows from the tallies; the Fraction mapping is for library callers
     from rscore import CountsTable
 
     built = []
-    original = CountsTable.__dict__["per_faculty_venue"].func
-    monkeypatch.setattr(
-        CountsTable, "per_faculty_venue",
-        property(lambda table: built.append(1) or original(table)),
-    )
+    tallies = CountsTable._faculty_tallies
+    monkeypatch.setattr(CountsTable, "_faculty_tallies",
+                        lambda table: built.append("tallies") or tallies(table))
+    mapping = CountsTable.__dict__["per_faculty_venue"].func
+    monkeypatch.setattr(CountsTable, "per_faculty_venue",
+                        property(lambda table: built.append("mapping") or mapping(table)))
     grades = ["--grades", str(fixture_dir / "grades.tsv")]
     for argv in (["validate"], ["venues"], ["venues", "--dump-matrices"], ["rank"],
                  ["stability"], ["compare", *grades]):
         assert run([*argv, *walkthrough_args]) == 0
     assert built == []
-    assert run(["counts", *walkthrough_args]) == 0
-    assert built
+    for argv in (["counts"], ["counts", "--json"]):
+        assert run([*argv, *walkthrough_args]) == 0
+        assert built == ["tallies"]
+        built.clear()
     capsys.readouterr()
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from rscore import (
     serialize_publications,
     serialize_rosters,
 )
+from rscore import counts as counts_module
 from rscore.cli import run
 
 from helpers import make_corpus, oracle_counts, random_corpus
@@ -309,3 +311,59 @@ def test_faculty_weight_stays_exact_past_int64(tmp_path, capsys):
     assert rows == [
         f"r1\tm00\tv1\t{float(expected):.6f}\t{expected.numerator}/{expected.denominator}"
     ]
+
+
+def _crowded_corpus(rng: np.random.Generator):
+    """Papers with 1-8 authors drawn from one roster, plus outsiders and, on
+    some, one more member of any roster; in venue vq, r1.m0 has one paper each
+    with 2, 3 and 7 authors from its roster."""
+    refs = [(f"r{i}", [f"r{i}.m{j}" for j in range(9)]) for i in (1, 2)]
+    cands = [("c1", [f"c1.m{j}" for j in range(8)])]
+    rosters = refs + cands
+    pubs = [(f"q{d}", "vq", 2010, [f"r1.m{j}" for j in range(d)]) for d in (2, 3, 7)]
+    for i in range(int(rng.integers(20, 60))):
+        _, faculty = rosters[int(rng.integers(len(rosters)))]
+        authors = list(rng.choice(faculty, size=int(rng.integers(1, 9)), replace=False))
+        if rng.random() < 0.3:
+            _, other = rosters[int(rng.integers(len(rosters)))]
+            authors.append(str(rng.choice(other)))
+        authors += [f"x{k}" for k in range(int(rng.integers(0, 3)))]
+        pubs.append((f"p{i}", f"v{int(rng.integers(4))}", 2010, list(dict.fromkeys(authors))))
+    return make_corpus(pubs, refs, cands)
+
+
+def test_faculty_rows_match_oracle_with_up_to_eight_roster_authors(tmp_path, capsys):
+    denominators = set()
+    for seed in range(12):
+        corpus = _crowded_corpus(np.random.default_rng(7000 + seed))
+        for mode in VenueMode:
+            expected = oracle_counts(corpus, distinct=mode is VenueMode.DISTINCT_PAPER)[1]
+            counts = build_counts(corpus, mode)
+            assert dict(counts.per_faculty_venue) == expected
+            assert list(counts.per_faculty_venue) == sorted(expected)
+        assert expected[("r1", "r1.m0", "vq")] == Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 7)
+        denominators |= {weight.denominator for weight in expected.values()}
+
+        pubs, rosters = tmp_path / "pubs.jsonl", tmp_path / "rosters.json"
+        pubs.write_text(serialize_publications(corpus), encoding="utf-8")
+        rosters.write_text(serialize_rosters(corpus), encoding="utf-8")
+        argv = ["counts", "--pubs", str(pubs), "--rosters", str(rosters)]
+        rows = [(*key, float(w), f"{w.numerator}/{w.denominator}")
+                for key, w in sorted(expected.items())]
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines.index("# faculty_venue")
+        assert lines[header + 1] == "program\tfaculty\tvenue\tcount\texact"
+        assert lines[header + 2:] == ["%s\t%s\t%s\t%.6f\t%s" % row for row in rows]
+        assert run([*argv, "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        columns = ("program", "faculty", "venue", "count", "exact")
+        assert document["faculty_venue"] == [dict(zip(columns, row)) for row in rows]
+    assert {5, 7, 8} <= denominators
+
+
+def test_faculty_tallies_number_cells_densely_when_the_key_could_overflow(monkeypatch):
+    corpus = _crowded_corpus(np.random.default_rng(7100))
+    expected = oracle_counts(corpus)[1]
+    monkeypatch.setattr(counts_module, "_KEY_LIMIT", 0)
+    assert list(build_counts(corpus).per_faculty_venue.items()) == sorted(expected.items())
