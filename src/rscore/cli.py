@@ -50,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="first year of the observation window (inclusive)")
     common.add_argument("--to", dest="year_to", type=int, default=None, metavar="YEAR",
                         help="last year of the observation window (inclusive)")
-    common.add_argument("--venue-mode", choices=sorted(_VENUE_MODES), default="per-program",
-                        help="how shared papers enter per-venue totals")
     common.add_argument("--json", action="store_true", help="emit JSON instead of TSV")
 
     parser = argparse.ArgumentParser(
@@ -61,8 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", parents=[common],
                    help="parse the inputs, check every invariant, print a summary")
-    sub.add_parser("counts", parents=[common],
-                   help="emit all publication counts")
+    counts = sub.add_parser("counts", parents=[common],
+                            help="emit all publication counts")
+    counts.add_argument("--venue-mode", choices=sorted(_VENUE_MODES), default="per-program",
+                        help="how shared papers enter per-venue totals")
     venues = sub.add_parser("venues", parents=[common],
                             help="emit venue reputations")
     venues.add_argument("--dump-matrices", action="store_true",
@@ -201,7 +201,7 @@ def _cmd_counts(args: argparse.Namespace) -> int:
 
 def _build_model(args: argparse.Namespace) -> tuple[Corpus, CountsTable, ReputationModel]:
     corpus = _load_corpus(args)
-    counts = build_counts(corpus, _VENUE_MODES[args.venue_mode])
+    counts = build_counts(corpus)
     model = build_reputation_model(counts)
     return corpus, counts, model
 

@@ -118,17 +118,19 @@ class Corpus:
         vars(self).update(_ids=ids, _venues=venues, _years=years, _authors=authors,
                           reference_programs=tuple(reference), candidate_programs=tuple(candidates),
                           year_window=year_window, dropped_outside_window=dropped)
-        programs: set[str] = set()
+        faculty: dict[str, list[AuthorId]] = {}
         home: dict[AuthorId, str] = {}
         for roster in self.programs:
-            if roster.program_id in programs:
+            if roster.program_id in faculty:
                 raise CorpusError(f"duplicate program id {roster.program_id!r}")
-            programs.add(roster.program_id)
-            for member in sorted(roster.faculty):
+            faculty[roster.program_id] = sorted(roster.faculty)
+            for member in faculty[roster.program_id]:
                 if member in home:
                     raise CorpusError(f"faculty member {member!r} appears in both "
                                       f"{home[member]!r} and {roster.program_id!r}")
                 home[member] = roster.program_id
+        # Roster members as (program id, member), sorted; a member's number is its position.
+        vars(self)["_members"] = [(pid, m) for pid in sorted(faculty) for m in faculty[pid]]
         reference_venue_set(self)
 
     @property
@@ -145,12 +147,6 @@ class Corpus:
         return self.reference_programs + self.candidate_programs
 
     @cached_property
-    def _members(self) -> list[tuple[str, AuthorId]]:
-        """Roster members as (program id, member), sorted; a member's number is its position."""
-        by_id = sorted(self.programs, key=lambda roster: roster.program_id)
-        return [(roster.program_id, m) for roster in by_id for m in sorted(roster.faculty)]
-
-    @cached_property
     def _member_papers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(paper, member number) of every authorship by a roster member, in
         paper order, and the program row of every member number."""
@@ -162,8 +158,15 @@ class Corpus:
         home = np.array([row[program] for program, _ in self._members], dtype=np.int64)
         return paper[member >= 0], member[member >= 0], home
 
-    def _paper_columns(self, columns: Mapping[VenueId, int]) -> np.ndarray:
+    @cached_property
+    def _columns(self) -> dict[VenueId, int]:
+        """Matrix column of each reference venue, in venue id order."""
+        return {venue: j for j, venue in enumerate(self._reference_venues)}
+
+    @cached_property
+    def _paper_columns(self) -> np.ndarray:
         """Each paper's venue column, -1 for a venue outside the reference set."""
+        columns = self._columns
         return np.fromiter(map(columns.get, self._venues, repeat(-1)), np.int64, len(self._venues))
 
     @cached_property

@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .corpus import AuthorId, Corpus, VenueId, reference_venue_set
+from .corpus import AuthorId, Corpus, VenueId
 from .errors import CountsError
 
 _KEY_LIMIT = 2**63  # a tally key below it fits in an int64
@@ -88,10 +88,6 @@ class CountsTable:
         return {pid: row for row, pid in enumerate(self.programs)}
 
     @cached_property
-    def _columns(self) -> dict[VenueId, int]:
-        return {venue: j for j, venue in enumerate(self.venue_index)}
-
-    @cached_property
     def venue_totals(self) -> np.ndarray:
         """Per-venue totals over the reference programs, per ``venue_mode``."""
         if self.venue_mode is VenueMode.PER_PROGRAM:
@@ -109,7 +105,7 @@ class CountsTable:
     def column(self, venue: VenueId) -> int:
         """Matrix column of a venue; raises :class:`CountsError` if not in the set."""
         try:
-            return self._columns[venue]
+            return self.corpus._columns[venue]
         except KeyError:
             raise CountsError(
                 f"venue {venue!r} is not in the reference venue set"
@@ -188,7 +184,7 @@ class CountsTable:
         """Papers per (member number, column, d), in that order, as four arrays;
         ``d`` is the number of the paper's authors on the member's roster."""
         paper, member, home = self.corpus._member_papers
-        column = self.corpus._paper_columns(self._columns)[paper]
+        column = self.corpus._paper_columns[paper]
         keep = column >= 0
         paper, member, column = paper[keep], member[keep], column[keep]
         # Authorships come in paper order, so a stable sort by (paper, program)
@@ -224,9 +220,8 @@ def build_counts(
     Per-venue totals cover reference programs only; candidate papers in
     venues outside the reference venue set contribute nothing anywhere.
     """
-    columns = {venue: j for j, venue in enumerate(reference_venue_set(corpus))}
-    p, v = len(corpus.programs), len(columns)
-    column = corpus._paper_columns(columns)
+    p, v = len(corpus.programs), len(corpus._columns)
+    column = corpus._paper_columns
     paper, member, home = corpus._member_papers
     row = home[member]
     # One cell per distinct (paper, program) in a reference venue: co-authors

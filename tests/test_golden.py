@@ -1,11 +1,12 @@
 """Golden hashes of CLI output, recorded from the Fraction-based counting code.
 
-Every subcommand runs in TSV and ``--json`` form, in both venue modes, on
-the walkthrough fixture and on one seeded random corpus of about 2k papers.
-A hash is the first 16 hex digits of the sha256 of stdout. The model digests
-and the ``error:`` lines of failing stability prefixes are pinned as text.
-The venue mode changes only the venue totals that ``counts`` reports, so
-every other distinct-mode output equals its per-program output byte for byte.
+Every subcommand runs in TSV and ``--json`` form, ``counts`` in both venue
+modes, on the walkthrough fixture and on one seeded random corpus of about 2k
+papers. A hash is the first 16 hex digits of the sha256 of stdout. The model
+digests, in both modes, and the ``error:`` lines of failing stability
+prefixes are pinned as text. The venue mode changes only the venue totals
+that ``counts`` reports, so only ``counts`` takes ``--venue-mode``; the
+other commands reject it.
 On that random corpus and three smaller seeded ones, the TSV and ``--json``
 forms must carry the same tables: same names, headers and rows, in order.
 The names the package exports, its runtime dependencies and the line count
@@ -53,64 +54,47 @@ COMMANDS = {
 MODES = ("per-program", "distinct")
 FORMATS = ("tsv", "json")
 CORPORA = ("walkthrough", "random")
+# Only counts takes a venue mode; the other commands' outputs are keyed by
+# the mode their counts are built in, per-program.
+CASES = [
+    (corpus, command, mode, fmt)
+    for corpus, command, mode, fmt in itertools.product(CORPORA, COMMANDS, MODES, FORMATS)
+    if command == "counts" or mode == "per-program"
+]
 
 GOLDEN_STDOUT: dict[str, str] = {
     "walkthrough/validate/per-program/tsv": "4b892fc6a8519ea0",
     "walkthrough/validate/per-program/json": "b60cc04a5738c093",
-    "walkthrough/validate/distinct/tsv": "4b892fc6a8519ea0",
-    "walkthrough/validate/distinct/json": "b60cc04a5738c093",
     "walkthrough/counts/per-program/tsv": "373dee23b9bb47c4",
     "walkthrough/counts/per-program/json": "1ce4d95272f441fa",
     "walkthrough/counts/distinct/tsv": "e71b72afbb0f47c1",
     "walkthrough/counts/distinct/json": "0b8910308b241956",
     "walkthrough/venues/per-program/tsv": "1318fd53e9e79dc9",
     "walkthrough/venues/per-program/json": "1a22f42670110834",
-    "walkthrough/venues/distinct/tsv": "1318fd53e9e79dc9",
-    "walkthrough/venues/distinct/json": "1a22f42670110834",
     "walkthrough/venues-dump/per-program/tsv": "048033a604908812",
     "walkthrough/venues-dump/per-program/json": "048033a604908812",
-    "walkthrough/venues-dump/distinct/tsv": "048033a604908812",
-    "walkthrough/venues-dump/distinct/json": "048033a604908812",
     "walkthrough/rank/per-program/tsv": "e19cf67d98737486",
     "walkthrough/rank/per-program/json": "6c049a679cc02367",
-    "walkthrough/rank/distinct/tsv": "e19cf67d98737486",
-    "walkthrough/rank/distinct/json": "6c049a679cc02367",
     "walkthrough/stability/per-program/tsv": "276b802168ce828c",
     "walkthrough/stability/per-program/json": "f7e6463b57535e7a",
-    "walkthrough/stability/distinct/tsv": "276b802168ce828c",
-    "walkthrough/stability/distinct/json": "f7e6463b57535e7a",
     "walkthrough/compare/per-program/tsv": "f89d947872ec2ee1",
     "walkthrough/compare/per-program/json": "757c21f1b7e15ca3",
-    "walkthrough/compare/distinct/tsv": "f89d947872ec2ee1",
-    "walkthrough/compare/distinct/json": "757c21f1b7e15ca3",
     "random/validate/per-program/tsv": "05eb302c6e7d4bbf",
     "random/validate/per-program/json": "0e465cbc6b47a259",
-    "random/validate/distinct/tsv": "05eb302c6e7d4bbf",
-    "random/validate/distinct/json": "0e465cbc6b47a259",
     "random/counts/per-program/tsv": "d66b18341f0ad21f",
     "random/counts/per-program/json": "4ec5106fec3ab591",
     "random/counts/distinct/tsv": "9c23aee00e322532",
     "random/counts/distinct/json": "893e59f404578e9e",
     "random/venues/per-program/tsv": "f95bc6da4e5cf231",
     "random/venues/per-program/json": "032965a9c9d37f7e",
-    "random/venues/distinct/tsv": "f95bc6da4e5cf231",
-    "random/venues/distinct/json": "032965a9c9d37f7e",
     "random/venues-dump/per-program/tsv": "e9b8364e8a5b41f2",
     "random/venues-dump/per-program/json": "e9b8364e8a5b41f2",
-    "random/venues-dump/distinct/tsv": "e9b8364e8a5b41f2",
-    "random/venues-dump/distinct/json": "e9b8364e8a5b41f2",
     "random/rank/per-program/tsv": "a7aa0e574b0d35fe",
     "random/rank/per-program/json": "128c31727dd3460d",
-    "random/rank/distinct/tsv": "a7aa0e574b0d35fe",
-    "random/rank/distinct/json": "128c31727dd3460d",
     "random/stability/per-program/tsv": "bc3441e36455e57f",
     "random/stability/per-program/json": "a60faa5fecb1bdb7",
-    "random/stability/distinct/tsv": "bc3441e36455e57f",
-    "random/stability/distinct/json": "a60faa5fecb1bdb7",
     "random/compare/per-program/tsv": "14abe89beda1a2c3",
     "random/compare/per-program/json": "78692b419f252442",
-    "random/compare/distinct/tsv": "14abe89beda1a2c3",
-    "random/compare/distinct/json": "78692b419f252442",
 }
 
 GOLDEN_DIGESTS: dict[tuple[str, str], str] = {
@@ -120,23 +104,14 @@ GOLDEN_DIGESTS: dict[tuple[str, str], str] = {
     ("random", "distinct"): "7cfaa5f158749015",
 }
 
-GOLDEN_ERRORS: dict[tuple[str, str], str] = {
-    ("empty-prefix", "per-program"): (
+GOLDEN_ERRORS: dict[str, str] = {
+    "empty-prefix": (
         'error: reference-set size 1: no publication by reference-program faculty; the venue set is empty'
     ),
-    ("empty-prefix", "distinct"): (
-        'error: reference-set size 1: no publication by reference-program faculty; the venue set is empty'
-    ),
-    ("silent-program", "per-program"): (
+    "silent-program": (
         "error: reference-set size 2: reference program 'silent' has no publications in the venue set; its transition row is undefined"
     ),
-    ("silent-program", "distinct"): (
-        "error: reference-set size 2: reference program 'silent' has no publications in the venue set; its transition row is undefined"
-    ),
-    ("reducible", "per-program"): (
-        'error: reference-set size 2: transition matrix is reducible; 2 strongly connected components: {0}; {1}'
-    ),
-    ("reducible", "distinct"): (
+    "reducible": (
         'error: reference-set size 2: transition matrix is reducible; 2 strongly connected components: {0}; {1}'
     ),
 }
@@ -214,8 +189,9 @@ def inputs(fixture_dir, tmp_path_factory):
 
 def _argv(inputs, corpus, command, mode, fmt):
     pubs, rosters, grades = inputs[corpus]
-    argv = [*COMMANDS[command], "--pubs", str(pubs), "--rosters", str(rosters),
-            "--venue-mode", mode]
+    argv = [*COMMANDS[command], "--pubs", str(pubs), "--rosters", str(rosters)]
+    if command == "counts":
+        argv += ["--venue-mode", mode]
     if command == "compare":
         argv += ["--grades", str(grades)]
     if fmt == "json":
@@ -229,24 +205,21 @@ def _stdout_hash(inputs, capsys, corpus, command, mode, fmt):
     return hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
 
 
-@pytest.mark.parametrize(
-    "corpus,command,mode,fmt", list(itertools.product(CORPORA, COMMANDS, MODES, FORMATS))
-)
+@pytest.mark.parametrize("corpus,command,mode,fmt", CASES)
 def test_cli_stdout_matches_golden_hash(inputs, capsys, corpus, command, mode, fmt):
     key = f"{corpus}/{command}/{mode}/{fmt}"
     assert _stdout_hash(inputs, capsys, corpus, command, mode, fmt) == GOLDEN_STDOUT[key]
 
 
-@pytest.mark.parametrize(
-    "corpus,command,fmt",
-    list(itertools.product(CORPORA, [c for c in COMMANDS if c != "counts"], FORMATS)),
-)
-def test_venue_mode_changes_only_counts_output(inputs, capsys, corpus, command, fmt):
-    outputs = []
-    for mode in MODES:
-        assert run(_argv(inputs, corpus, command, mode, fmt)) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "counts"])
+def test_venue_mode_is_rejected_outside_counts(inputs, capsys, command):
+    # the mode cannot move the model, the scores or the sweep: the model digest
+    # is pinned in both modes below, and the sweep in test_analysis.py
+    argv = [*_argv(inputs, "walkthrough", command, None, "tsv"), "--venue-mode", "distinct"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --venue-mode distinct" in captured.err
 
 
 @pytest.mark.parametrize("corpus,mode", list(itertools.product(CORPORA, MODES)))
@@ -258,15 +231,14 @@ def test_model_digest_matches_golden(inputs, corpus, mode):
     assert model.digest == GOLDEN_DIGESTS[corpus, mode]
 
 
-@pytest.mark.parametrize("corpus,mode", list(itertools.product(FAILING_SWEEPS, MODES)))
-def test_failing_sweep_error_line_matches_golden(inputs, capsys, corpus, mode):
+@pytest.mark.parametrize("corpus", FAILING_SWEEPS)
+def test_failing_sweep_error_line_matches_golden(inputs, capsys, corpus):
     pubs, rosters, _ = inputs[corpus]
-    argv = ["stability", "--pubs", str(pubs), "--rosters", str(rosters), "--venue-mode", mode]
-    assert run(argv) == 1
+    assert run(["stability", "--pubs", str(pubs), "--rosters", str(rosters)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
-    assert errors == [GOLDEN_ERRORS[corpus, mode]]
+    assert errors == [GOLDEN_ERRORS[corpus]]
 
 
 # The JSON key of the one table each command prints without a "# name" line.
@@ -400,4 +372,4 @@ def test_source_line_count_is_pinned():
     # the package updates it on purpose.
     package = Path(rscore.__file__).resolve().parent
     lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
-    assert lines == 1871
+    assert lines == 1869

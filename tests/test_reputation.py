@@ -30,6 +30,7 @@ from helpers import (
     gth_one_matrix,
     make_corpus,
     naive_matmul,
+    oracle_counts,
     oracle_model,
     power_iteration,
     random_corpus,
@@ -432,7 +433,10 @@ def test_exact_gth_solves_a_chain_exactly():
 def test_model_is_within_a_few_ulps_of_the_exact_model():
     # GTH never subtracts, so it is accurate entry by entry (O'Cinneide 1993,
     # Numer. Math. 65): every gamma and nu entry is within 32 units in the last
-    # place of the exact rational one, and an exact zero comes out as 0.0
+    # place of the exact rational one, and an exact zero comes out as 0.0. The
+    # exact model has a closed form: the walk's stationary law is proportional
+    # to weighted degree, so gamma_w = d_w / D and nu_j = N_j / max N, with d the
+    # reference programs' paper totals, D their sum and N the venue totals.
     from test_golden import _random_corpus
 
     corpora = [_random_corpus()] + [
@@ -444,6 +448,10 @@ def test_model_is_within_a_few_ulps_of_the_exact_model():
     for corpus in corpora:
         model = build_reputation_model(build_counts(corpus))
         *_, gamma, nu = oracle_model(corpus)
+        _, _, _, totals, per_program = oracle_counts(corpus)
+        degree = [per_program[roster.program_id] for roster in corpus.reference_programs]
+        assert gamma == [d / sum(degree) for d in degree]
+        assert nu == [n / max(totals.values()) for n in totals.values()]
         for floats, exact in ((model.gamma, gamma), (model.nu, nu)):
             assert len(floats) == len(exact)
             for value, truth in zip(floats.tolist(), exact):
