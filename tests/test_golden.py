@@ -6,7 +6,8 @@ papers. A hash is the first 16 hex digits of the sha256 of stdout. The model
 digests, in both modes, and the ``error:`` lines of failing stability
 prefixes are pinned as text. The venue mode changes only the venue totals
 that ``counts`` reports, so only ``counts`` takes ``--venue-mode``; the
-other commands reject it.
+other commands reject it, and print the same bytes when the library builds
+their counts in either mode.
 On that random corpus and three smaller seeded ones, the TSV and ``--json``
 forms must carry the same tables: same names, headers and rows, in order.
 The names the package exports, its runtime dependencies and the line count
@@ -28,6 +29,8 @@ import numpy as np
 import pytest
 
 import rscore
+import rscore.analysis
+import rscore.cli
 from rscore import (
     CountsTable,
     ProgramRoster,
@@ -211,10 +214,32 @@ def test_cli_stdout_matches_golden_hash(inputs, capsys, corpus, command, mode, f
     assert _stdout_hash(inputs, capsys, corpus, command, mode, fmt) == GOLDEN_STDOUT[key]
 
 
+@pytest.mark.parametrize(
+    "corpus,command,fmt",
+    list(itertools.product(CORPORA, [c for c in COMMANDS if c != "counts"], FORMATS)),
+)
+def test_venue_mode_changes_only_counts_output(inputs, capsys, monkeypatch, corpus, command, fmt):
+    # These commands take no --venue-mode; build the counts they read in each
+    # mode through the library, and they must print the same bytes. validate
+    # builds no counts at all.
+    outputs = []
+    for mode in VenueMode:
+        calls = []
+
+        def counts_in_mode(corpus, mode=mode):
+            calls.append(mode)
+            return build_counts(corpus, mode)
+
+        monkeypatch.setattr(rscore.cli, "build_counts", counts_in_mode)
+        monkeypatch.setattr(rscore.analysis, "build_counts", counts_in_mode)
+        assert run(_argv(inputs, corpus, command, None, fmt)) == 0
+        assert bool(calls) == (command != "validate")
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "counts"])
 def test_venue_mode_is_rejected_outside_counts(inputs, capsys, command):
-    # the mode cannot move the model, the scores or the sweep: the model digest
-    # is pinned in both modes below, and the sweep in test_analysis.py
     argv = [*_argv(inputs, "walkthrough", command, None, "tsv"), "--venue-mode", "distinct"]
     assert run(argv) == 2
     captured = capsys.readouterr()
