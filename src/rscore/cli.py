@@ -91,12 +91,9 @@ def _read_text(path: str, error: type[RScoreError]) -> str:
 
 
 def _load_corpus(args: argparse.Namespace) -> Corpus:
-    window = None
-    if args.year_from is not None:
-        window = (args.year_from, args.year_to)
-    pubs_text = _read_text(args.pubs, CorpusError)
-    rosters_text = _read_text(args.rosters, CorpusError)
-    corpus = parse_corpus(pubs_text, rosters_text, window)
+    window = None if args.year_from is None else (args.year_from, args.year_to)
+    corpus = parse_corpus(_read_text(args.pubs, CorpusError),
+                          _read_text(args.rosters, CorpusError), window)
     if corpus.dropped_outside_window:
         print(
             f"warning: dropped {corpus.dropped_outside_window} publication record(s)"
@@ -333,6 +330,12 @@ _COMMANDS = {
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    if sys.platform == "linux":
+        # glibc raises its mmap threshold to each large block freed, so later commands in
+        # this process put their arrays on the heap, whose resident peak moves by a megabyte
+        # with the heap's layout; a threshold set by mallopt (M_MMAP_THRESHOLD, 1 MiB) stays.
+        import ctypes
+        getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)(-3, 1 << 20)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -342,10 +345,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         print("rscore: error: --from and --to must be given together", file=sys.stderr)
         return 2
     if args.year_from is not None and args.year_from > args.year_to:
-        print(
-            f"rscore: error: --from {args.year_from} exceeds --to {args.year_to}",
-            file=sys.stderr,
-        )
+        print(f"rscore: error: --from {args.year_from} exceeds --to {args.year_to}",
+              file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command](args)
