@@ -1,12 +1,12 @@
 """Rank correlation and reference-set stability analysis.
 
-The stability sweep re-solves the model for growing prefixes of the reference
-set and measures how much the candidate ranking moves, using Spearman's rank
+The stability sweep ranks the candidates against growing prefixes of the
+reference set and measures how much the ranking moves, using Spearman's rank
 correlation between consecutive prefix sizes and between the smallest and
-largest. The corpus is counted once. The reputation layer solves each
-prefix from a slice of the reference rows of that count, over the prefix's
-own venues, and the sweep scores the candidates from the nonzero cells of
-their rows, taken up front; no prefix builds a table of its own.
+largest. The corpus is counted once, and no prefix is solved: a prefix's
+model is its reference rows' venue totals in closed form, so one product of
+the candidate rows with the reference rows and one cumulative sum give every
+prefix's exact integer scores, and exact ties are ordered by id.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ import numpy as np
 from .corpus import Corpus
 from .counts import build_counts
 from .errors import AnalysisError, DegenerateRankingError, RScoreError
-from .reputation import _prefix_reputations
-from .scoring import ScoreReport, _by_value, _nonzero_cells, _raw_scores
+from .reputation import _modelled_prefixes
+from .scoring import ScoreReport, _by_value
 
 Ranking = Sequence[str] | Sequence[tuple[str, float]]
+# Integers below this are exact in float64, and so is every sum of them that stays below it.
+_EXACT_FLOAT = 2**53
 
 
 def _rank_map(ranking: Ranking) -> dict[str, float]:
@@ -134,13 +136,10 @@ def stability_sweep(corpus: Corpus, k: int) -> StabilityReport:
     try:
         counts = build_counts(corpus)
         t = len(counts.reference_programs)
-        nonzeros = _nonzero_cells(counts.matrix[t:])
-        # A prefix's columns hold every earlier prefix's, so it leaves no stale entry.
-        nu = np.zeros(len(counts.venue_index))
-        prefixes = _prefix_reputations(counts.matrix[:t], counts.reference_programs, k)
-        for size, (columns, prefix_nu) in enumerate(prefixes, start=1):
-            nu[columns] = prefix_nu
-            scored = _by_value(candidates, _raw_scores(nonzeros, nu, len(candidates)).tolist())
+        reference = counts.matrix[:k]
+        prefixes = _modelled_prefixes(reference, counts.reference_programs)
+        for size, raw in zip(prefixes, _prefix_scores(counts.matrix[t:], reference).T.tolist()):
+            scored = _by_value(candidates, raw)
             ranks[size] = _rank_map(scored)
             rankings[size] = tuple(pid for pid, _ in scored)
     except RScoreError as exc:
@@ -166,6 +165,27 @@ def stability_sweep(corpus: Corpus, k: int) -> StabilityReport:
         first_vs_last=first_vs_last,
         rankings=rankings,
     )
+
+
+def _prefix_scores(candidate: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Every candidate's raw score against every prefix of the reference rows,
+    candidates x prefixes, as exact integers.
+
+    The program-venue walk's stationary law is proportional to weighted
+    degree, so a prefix's venue reputations are its reference rows' venue
+    totals ``N`` over their largest, and a candidate ranks by
+    ``sum_j C[c, j] * N[j]``: for the prefix ending at row ``s``, the sum of
+    columns ``0..s`` of ``A = C @ R.T``. Every term is a nonnegative integer,
+    so every partial sum, in the product in any order or in the cumulative
+    sum, is at most the candidate's paper total times the reference rows'.
+    Below 2**53 float64 adds such sums exactly, in whatever order and on
+    however many threads BLAS adds them; past it the int64 product is exact,
+    up to 2**63, which takes more authorships than memory holds.
+    """
+    bound = int(candidate.sum(axis=1).max()) * int(reference.sum())
+    dtype = np.float64 if bound < _EXACT_FLOAT else np.int64
+    products = np.asarray(candidate, dtype=dtype) @ np.asarray(reference, dtype=dtype).T
+    return np.cumsum(products, axis=1)
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,7 @@ def _build_model(args: argparse.Namespace) -> tuple[Corpus, CountsTable, Reputat
 
 
 def _cmd_venues(args: argparse.Namespace) -> int:
-    _, _, model = _build_model(args)
+    _, counts, model = _build_model(args)
     if args.dump_matrices:  # an audit dump, TSV even with --json
         lines = ["# program_index", *model.program_index, "# venue_index", *model.venue_index]
         for name, array in (("alpha (venue x program)", model.alpha),
@@ -215,9 +215,13 @@ def _cmd_venues(args: argparse.Namespace) -> int:
         sys.stdout.write("\n".join(lines))
         sys.stdout.write("\n")
         return 0
+    nu = dict(zip(model.venue_index, model.nu.tolist()))
+    totals = counts.matrix[: len(model.program_index)].sum(axis=0).tolist()
     _emit(args, {
         "model_digest": model.digest if args.json else None,
-        "venues": _Table("venue nu", "%s\t%.6f", _by_value(model.venue_index, model.nu.tolist())),
+        # nu is in proportion to the reference venue totals, so exact ties are ordered by id.
+        "venues": _Table("venue nu", "%s\t%.6f", (
+            (venue, nu[venue]) for venue, _ in _by_value(model.venue_index, totals))),
     })
     return 0
 

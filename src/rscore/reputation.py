@@ -6,15 +6,14 @@ and a venue distributes its reputation over the programs that fill it
 (publication-share columns ``alpha``). The two-block chain is periodic, so it
 is never solved directly; only the program-to-program aggregation
 ``beta @ alpha`` is, via Grassmann-Taksar-Heyman state reduction. Venue
-reputations follow by one more transition step. The stability sweep's
-prefixes of the reference programs are solved here too, a group at a time
-with one GTH elimination, each with the bits it would get alone.
+reputations follow by one more transition step. The stability sweep solves
+no prefix: this module only says which prefixes of the reference programs
+have a model, and the first that has none raises its error.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -22,15 +21,13 @@ import numpy as np
 
 from .corpus import EMPTY_VENUE_SET
 from .counts import CountsTable
-from .errors import EmptyVenueSetError, ModelError, RScoreError, ReducibleChainError
+from .errors import EmptyVenueSetError, ModelError, ReducibleChainError
 
 # Build-time stochasticity assertions on the raw matrices.
 ROW_SUM_TOL = 1e-12
 # Aggregated rows and the stationary fixed point.
 AGGREGATE_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
-# A group of prefixes closes once its betas and its GTH stack hold this many cells (8 MB).
-_GROUP_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -112,10 +109,7 @@ def _transition_blocks(
     totals = reference.sum(axis=1)
     idle = np.flatnonzero(totals == 0)
     if idle.size:
-        raise ModelError(
-            f"reference program {programs[idle[0]]!r} has no publications in the "
-            f"venue set; its transition row is undefined"
-        )
+        raise _idle(programs[idle[0]])
 
     beta = reference / totals[:, None]
     # Divided straight into C order, so no quotient is transposed and copied.
@@ -134,54 +128,50 @@ def _transition_blocks(
     return alpha, beta, p_prime
 
 
-def _prefix_reputations(
-    reference: np.ndarray, programs: Sequence[str], k: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(venue columns, nu) of each prefix of 1..k rows of an integer reference
-    block, smallest first; a prefix's venues are those its rows publish in.
+def _modelled_prefixes(reference: np.ndarray, programs: Sequence[str]) -> Iterator[int]:
+    """Sizes 1, 2, ... of the prefixes of an integer reference block's rows
+    that have a model, smallest first; the first that has none raises the
+    error :func:`build_reputation_model` raises on its rows alone.
 
-    Prefixes are solved in groups, one :func:`_gth_stack` call each. The
-    first prefix that fails raises its error once every smaller one is yielded.
+    ``p_prime[w, w']`` is positive exactly when programs w and w' share a
+    venue, so its strongly connected components are the connected components
+    of the program-venue graph. A union-find over that graph, one row at a
+    time, stays trivial: every prefix before the first failing one is
+    connected, so it is one set of venues, and the next row joins it exactly
+    when it publishes in one of them. A row that does not splits its prefix
+    into the rows before it and itself.
     """
     seen = np.zeros(reference.shape[1], dtype=bool)
-    group, cells, failure = [], 0, None
-    for size in range(1, k + 1):
-        seen |= reference[size - 1] > 0
-        columns = np.flatnonzero(seen)
-        try:
-            _, beta, p_prime = _transition_blocks(reference[:size, columns], programs[:size])
-        except RScoreError as exc:
-            failure = exc
-        else:
-            group.append((columns, beta, p_prime))
-            cells += beta.size
-        if failure is not None or size == k or cells + len(group) * size**2 >= _GROUP_CELLS:
-            gammas, reducible = _gth_stack([p_prime for *_, p_prime in group])
-            for (columns, beta, p_prime), gamma in zip(group, gammas):
-                yield columns, _venue_step(p_prime, gamma, beta)
-            if reducible is not None or failure is not None:
-                raise reducible or failure
-            group, cells = [], 0
+    for size, row in enumerate(reference, start=1):
+        venues = row > 0
+        if not venues.any():
+            raise EmptyVenueSetError(EMPTY_VENUE_SET) if size == 1 else _idle(programs[size - 1])
+        if size > 1 and not (venues & seen).any():
+            raise ReducibleChainError([range(size - 1), [size - 1]])
+        seen |= venues
+        yield size
 
 
-def _closure(adjacency: np.ndarray) -> np.ndarray:
-    """Reach matrices of a stack of boolean n x n adjacency matrices, squared
-    until they stop changing (about log2 n products); path counts are exact."""
-    reach = (adjacency | np.eye(adjacency.shape[-1], dtype=bool)).astype(np.float64)
-    while True:
-        closed = (reach @ reach > 0).astype(np.float64)
-        if np.array_equal(closed, reach):
-            return closed > 0
-        reach = closed
+def _idle(program: str) -> ModelError:
+    return ModelError(f"reference program {program!r} has no publications in the venue set; "
+                      "its transition row is undefined")
 
 
 def _strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:
     """Strongly connected components of a directed graph given as a boolean
     n x n adjacency matrix, each sorted, ordered by their smallest state; two
-    states share a component when each reaches the other."""
-    reach = _closure(adjacency[None])[0]
+    states share a component when each reaches the other. The reach matrix
+    is squared until it stops changing (about log2 n products); path counts
+    are exact."""
+    reach, closed = None, adjacency | np.eye(len(adjacency), dtype=bool)
+    while not np.array_equal(closed, reach):
+        reach = closed
+        paths = reach.astype(np.float64)
+        closed = paths @ paths > 0
     smallest = (reach & reach.T).argmax(axis=1)
-    return [np.flatnonzero(smallest == root).tolist() for root in np.unique(smallest)]
+    # A component's root is its smallest state; np.unique would load numpy.ma into `rank`.
+    roots = np.flatnonzero(smallest == np.arange(len(smallest)))
+    return [np.flatnonzero(smallest == root).tolist() for root in roots]
 
 
 def stationary_gth(p: np.ndarray) -> np.ndarray:
@@ -192,9 +182,7 @@ def stationary_gth(p: np.ndarray) -> np.ndarray:
     row entries, so the elimination never subtracts like-signed quantities
     and needs no pivoting to stay stable. Reducible inputs are rejected with
     the list of strongly connected components, ordered by smallest state,
-    rather than silently patched. It solves a stack of one with ``_gth_stack``,
-    which eliminates a stack of matrices in lockstep, each in the corner of its
-    layer, and gives every matrix the bits it would get alone.
+    rather than silently patched.
     """
     a = np.array(p, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -204,53 +192,20 @@ def stationary_gth(p: np.ndarray) -> np.ndarray:
     # Written so that a NaN entry, whose row sum is NaN, fails the check.
     if np.any(a < 0) or not np.all(np.abs(a.sum(axis=1) - 1.0) <= 1e-8):
         raise ModelError("matrix is not row-stochastic")
-    gammas, reducible = _gth_stack([a])
-    if reducible is not None:
-        raise reducible
-    return gammas[0]
-
-
-def _gth_stack(matrices: Sequence[np.ndarray]) -> tuple[list, ReducibleChainError | None]:
-    """GTH stationary vectors of row-stochastic matrices of ascending size,
-    solved in lockstep up to the first reducible one, and its error or None.
-
-    Each s x s matrix fills the bottom-right corner of its layer of one zero
-    stack, so the layers still eliminating at global state g (s >= n - g)
-    are the last ones, with n - g - 1 entries left in each pivot row. A
-    step's pivot sums are then, row by row, the pairwise sums of one matrix
-    alone, and the rest is elementwise, so every matrix gets the bits it
-    would get alone. The back-substitution is one BLAS dot per state.
-    """
-    sizes = [len(a) for a in matrices]
-    n = max(sizes, default=0)
-    stack = np.zeros((len(sizes), n, n))
-    for layer, a, s in zip(stack, matrices, sizes):
-        layer[n - s :, n - s :] = a
-    # Padding reaches only itself: a chain is irreducible iff its corner is all reached.
-    reach = _closure(stack > 0)
-    solved = next((i for i, s in enumerate(sizes) if not reach[i, n - s :, n - s :].all()),
-                  len(sizes))
-    reducible = None if solved == len(sizes) else ReducibleChainError(
-        _strongly_connected_components(matrices[solved] > 0))
-    stack, sizes = stack[:solved], sizes[:solved]
-    for g in range(n - 1):
-        a = stack[bisect_left(sizes, n - g) :]
-        pivot = a[:, g, g + 1 :].sum(axis=-1)
-        if np.any(pivot <= 0.0):
-            # unreachable after the irreducibility check; kept as a guard
-            s = sizes[-len(a) :][int(np.argmax(pivot <= 0.0))]
-            raise ModelError(f"zero pivot while eliminating state {g - n + s}")
-        a[:, g + 1 :, g] /= pivot[:, None]
-        a[:, g + 1 :, g + 1 :] += a[:, g + 1 :, g, None] * a[:, g, None, g + 1 :]
-    gammas = []
-    for layer, s in zip(stack, sizes):
-        a = layer[n - s :, n - s :]
-        x = np.zeros(s)
-        x[s - 1] = 1.0
-        for k in range(s - 2, -1, -1):
-            x[k] = x[k + 1 :] @ a[k + 1 :, k]
-        gammas.append(x / x.sum())
-    return gammas, reducible
+    components = _strongly_connected_components(a > 0)
+    if len(components) > 1:
+        raise ReducibleChainError(components)
+    for g in range(len(a) - 1):
+        pivot = a[g, g + 1 :].sum()
+        if pivot <= 0.0:  # unreachable after the irreducibility check; kept as a guard
+            raise ModelError(f"zero pivot while eliminating state {g}")
+        a[g + 1 :, g] /= pivot
+        a[g + 1 :, g + 1 :] += a[g + 1 :, g, None] * a[g, g + 1 :]
+    x = np.zeros(len(a))
+    x[-1] = 1.0
+    for k in range(len(a) - 2, -1, -1):
+        x[k] = x[k + 1 :] @ a[k + 1 :, k]
+    return x / x.sum()
 
 
 def _venue_step(p_prime: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -166,6 +166,29 @@ def oracle_model(corpus: Corpus):
     return beta, alpha, p_prime, gamma, [value / top for value in nu]
 
 
+def prefix_corpus(corpus: Corpus, size: int) -> Corpus:
+    """The corpus with only its first ``size`` reference programs, rebuilt."""
+    return make_corpus(
+        pubs=[(p.id, p.venue, p.year, list(p.authors)) for p in corpus.publications],
+        refs=[(r.program_id, sorted(r.faculty)) for r in corpus.reference_programs[:size]],
+        cands=[(r.program_id, sorted(r.faculty)) for r in corpus.candidate_programs],
+    )
+
+
+def oracle_ranking(corpus: Corpus) -> list[tuple[str, Fraction]]:
+    """The candidates' exact scores under ``oracle_model``, as (id, score)
+    pairs by descending score, then id: each paper in a venue weighs its nu."""
+    venue_set, _, per_program_venue, _, _ = oracle_counts(corpus)
+    *_, nu = oracle_model(corpus)
+    scores = [
+        (roster.program_id, sum(
+            (per_program_venue.get((roster.program_id, venue), 0) * weight
+             for venue, weight in zip(venue_set, nu)), start=Fraction(0)))
+        for roster in corpus.candidate_programs
+    ]
+    return sorted(scores, key=lambda item: (-item[1], item[0]))
+
+
 def exact_gth(p):
     """Stationary vector of an irreducible stochastic matrix of Fractions by
     GTH state reduction, exact because it only adds, multiplies and divides."""

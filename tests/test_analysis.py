@@ -27,7 +27,14 @@ from rscore import (
     stationary_gth,
 )
 
-from helpers import make_corpus, oracle_counts, power_iteration, random_corpus
+from helpers import (
+    make_corpus,
+    oracle_counts,
+    oracle_ranking,
+    power_iteration,
+    prefix_corpus,
+    random_corpus,
+)
 
 
 def _report(rows):
@@ -218,7 +225,7 @@ def test_sweep_matches_independent_recomputation():
     candidate_ids = sorted(r.program_id for r in corpus.candidate_programs)
     oracle_scores = {}
     for size in range(1, k + 1):
-        prefix = _prefix_corpus(corpus, size)
+        prefix = prefix_corpus(corpus, size)
         venue_set, _, per_program_venue, per_venue, per_program = oracle_counts(prefix)
         t = size
         beta = np.zeros((t, len(venue_set)))
@@ -276,50 +283,39 @@ def test_sweep_counts_once_and_builds_one_table(whole, monkeypatch):
     monkeypatch.setattr(
         rscore.analysis, "_rank_map", lambda ranking: ranked.append(1) or rank_map(ranking)
     )
-    # and all the prefixes are solved as one stack
-    stacked = []
-    gth_stack = rscore.reputation._gth_stack
-    monkeypatch.setattr(
-        rscore.reputation, "_gth_stack", lambda matrices: stacked.append(1) or gth_stack(matrices)
-    )
+    # and no prefix is solved: no transition blocks and no GTH
+    def unsolved(*args):
+        raise AssertionError("a sweep prefix was solved")
+
+    monkeypatch.setattr(rscore.reputation, "_transition_blocks", unsolved)
+    monkeypatch.setattr(rscore.reputation, "stationary_gth", unsolved)
     k = len(corpus.reference_programs) if whole else 1
     stability_sweep(corpus, k)
     assert counted == [1]
     assert tables == [1]
     assert len(ranked) == k
-    assert stacked == [1]
 
 
-@pytest.mark.parametrize("cells", [1, 60, 400])
-def test_sweep_in_groups_gives_the_same_report(cells, monkeypatch):
-    # a smaller cell cap splits the prefixes into more groups, one stacked
-    # solve each, and changes nothing in the report
-    import rscore.reputation
+def test_sweep_report_does_not_depend_on_the_product_dtype(monkeypatch):
+    # past 2**53 the prefix scores come from an exact int64 product instead of
+    # float64 BLAS; both give every prefix the same exact integers
+    import rscore.analysis
 
     corpus = random_corpus(np.random.default_rng(558), n_ref=9, n_cand=5, hub=True)
+    counts = build_counts(corpus)
+    floats = rscore.analysis._prefix_scores(counts.matrix[9:], counts.matrix[:9])
     whole = stability_sweep(corpus, 9)
-    groups = []
-    gth_stack = rscore.reputation._gth_stack
-    monkeypatch.setattr(
-        rscore.reputation, "_gth_stack",
-        lambda matrices: groups.append(len(matrices)) or gth_stack(matrices),
-    )
-    monkeypatch.setattr(rscore.reputation, "_GROUP_CELLS", cells)
+    monkeypatch.setattr(rscore.analysis, "_EXACT_FLOAT", 0)
+    integers = rscore.analysis._prefix_scores(counts.matrix[9:], counts.matrix[:9])
+    assert (floats.dtype, integers.dtype) == (np.float64, np.int64)
+    assert floats.tolist() == integers.tolist()
     assert stability_sweep(corpus, 9) == whole
-    assert sum(groups) == 9
-    assert len(groups) > 1
-    if cells == 1:
-        assert groups == [1] * 9
 
 
-@pytest.mark.parametrize("cells", [1, 1 << 20])
-def test_sweep_names_the_smallest_failing_size_first(cells, monkeypatch):
+def test_sweep_names_the_smallest_failing_size_first():
     # size 2 is reducible (its two programs share no venue), and size 3 has
-    # a reference program with no paper; the stacked check must still name
-    # size 2, as a prefix-by-prefix solve does
-    import rscore.reputation
-
-    monkeypatch.setattr(rscore.reputation, "_GROUP_CELLS", cells)
+    # a reference program with no paper; the sweep must name size 2, as a
+    # prefix-by-prefix solve does
     pubs = [
         ("p1", "v1", 2010, ["a1"]),
         ("p2", "v2", 2010, ["b1"]),
@@ -336,6 +332,32 @@ def test_sweep_names_the_smallest_failing_size_first(cells, monkeypatch):
     )
 
 
+def test_sweep_orders_exactly_tied_candidates_by_id():
+    # v32 and v34 of the golden random corpus have equal reference totals, so
+    # ta and tb, one paper each there, tie exactly at every prefix holding
+    # both venues, though the solved nu of v34 is one ulp above v32's
+    from test_golden import _random_corpus
+
+    corpus = _random_corpus()
+    corpus = make_corpus(
+        pubs=[(p.id, p.venue, p.year, list(p.authors)) for p in corpus.publications]
+        + [("ta.1", "v32", 2010, ["ta.m"]), ("tb.1", "v34", 2010, ["tb.m"])],
+        refs=[(r.program_id, sorted(r.faculty)) for r in corpus.reference_programs],
+        cands=[(r.program_id, sorted(r.faculty)) for r in corpus.candidate_programs]
+        + [("ta", ["ta.m"]), ("tb", ["tb.m"])],
+    )
+    report = stability_sweep(corpus, 8)
+    last = report.rankings[8]
+    assert last.index("tb") == last.index("ta") + 1
+    exact = oracle_ranking(corpus)
+    assert dict(exact)["ta"] == dict(exact)["tb"]
+    assert last == tuple(pid for pid, _ in exact)
+    # the tie shares its average rank
+    first = oracle_ranking(prefix_corpus(corpus, 1))
+    assert report.first_vs_last == (1, 8, spearman(first, exact))
+    assert report.first_vs_last[2] == 0.9700772721497398
+
+
 def test_sweep_venue_mode_passthrough():
     # the sweep takes no venue mode: every prefix ranks alike in both modes
     corpus = random_corpus(np.random.default_rng(556), n_ref=3, hub=True)
@@ -343,7 +365,7 @@ def test_sweep_venue_mode_passthrough():
     candidates = [r.program_id for r in corpus.candidate_programs]
     for mode in VenueMode:
         for size in report.sizes:
-            prefix = build_counts(_prefix_corpus(corpus, size), mode)
+            prefix = build_counts(prefix_corpus(corpus, size), mode)
             ranked = score_programs(build_reputation_model(prefix), prefix, candidates)
             assert report.rankings[size] == tuple(row.program_id for row in ranked.rows)
 
@@ -449,15 +471,6 @@ def test_compare_end_to_end(walkthrough_corpus):
     assert comparison.rho == pytest.approx(1.0, abs=1e-12)
 
 
-def _prefix_corpus(corpus, size):
-    """The corpus with only its first ``size`` reference programs, rebuilt."""
-    return make_corpus(
-        pubs=[(p.id, p.venue, p.year, list(p.authors)) for p in corpus.publications],
-        refs=[(r.program_id, sorted(r.faculty)) for r in corpus.reference_programs[:size]],
-        cands=[(r.program_id, sorted(r.faculty)) for r in corpus.candidate_programs],
-    )
-
-
 def _rebuilt_prefix(corpus, size, mode):
     """Oracle counts, transition blocks and raw candidate scores of the
     prefix corpus, rebuilt from scratch.
@@ -469,7 +482,7 @@ def _rebuilt_prefix(corpus, size, mode):
     per-program venue totals in either mode; the mode changes only the
     reported totals. Raises RScoreError where the prefix has no usable model.
     """
-    prefix = _prefix_corpus(corpus, size)
+    prefix = prefix_corpus(corpus, size)
     oracle = oracle_counts(prefix, mode is VenueMode.DISTINCT_PAPER)
     venue_set, _, per_program_venue, _, per_program = oracle
     if not venue_set:
@@ -536,7 +549,7 @@ def test_sweep_equals_prefix_rebuilds_from_oracle_counts(
                 stability_sweep(corpus, n_ref)
             return
         # the prefix corpus counted on its own, then the model
-        prefix = build_counts(_prefix_corpus(corpus, size), mode)
+        prefix = build_counts(prefix_corpus(corpus, size), mode)
         venue_set, _, per_program_venue, per_venue, per_program = oracle
         assert list(prefix.venue_index) == venue_set
         assert dict(prefix.per_program_venue) == per_program_venue
@@ -547,7 +560,8 @@ def test_sweep_equals_prefix_rebuilds_from_oracle_counts(
         assert model.beta.tobytes() == beta.tobytes()
         report = score_programs(model, prefix, candidates)
         assert {row.program_id: row.raw_score for row in report.rows} == scores
-        scored[size] = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+        # the sweep ranks by exact scores, so exact ties are ordered by id
+        scored[size] = oracle_ranking(prefix_corpus(corpus, size))
 
     try:
         report = stability_sweep(corpus, n_ref)

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -352,12 +353,49 @@ def test_module_entry_point(fixture_dir):
     assert result.stdout.splitlines()[1] == "beta\t1.000000"
 
 
-def _run_cli(argv, timeout=20):
+def _run_cli(argv, timeout=20, env=None):
     """The CLI in a fresh interpreter, so that a hang fails instead of stalling."""
     return subprocess.run(
         [sys.executable, "-m", "rscore", *argv],
-        capture_output=True, text=True, check=False, timeout=timeout,
+        capture_output=True, text=True, check=False, timeout=timeout, env=env,
     )
+
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif((_CPUS or 1) < 2, reason="one CPU: BLAS cannot run on two threads here")
+def test_stability_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 60 candidates x 1,500 venues x 40 reference rows is far past the size
+    # at which OpenBLAS splits a product over its threads
+    corpus = random_corpus(np.random.default_rng(31), n_ref=40, n_cand=60, n_venues=1500,
+                           n_papers=20000, hub=True)
+    pubs, rosters = tmp_path / "pubs.jsonl", tmp_path / "rosters.json"
+    pubs.write_text(serialize_publications(corpus), encoding="utf-8")
+    rosters.write_text(serialize_rosters(corpus), encoding="utf-8")
+    argv = ["stability", "--json", "--pubs", str(pubs), "--rosters", str(rosters)]
+    outputs = []
+    for threads in ("1", "2"):
+        result = _run_cli(argv, timeout=60, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_venues_orders_exact_ties_by_id(tmp_path, capsys):
+    # v32, v34 and v37 of the golden random corpus all have reputation 19/27
+    # exactly; their floats differ in the last bit
+    from test_golden import _random_corpus
+
+    corpus = _random_corpus()
+    pubs, rosters = tmp_path / "pubs.jsonl", tmp_path / "rosters.json"
+    pubs.write_text(serialize_publications(corpus), encoding="utf-8")
+    rosters.write_text(serialize_rosters(corpus), encoding="utf-8")
+    assert run(["venues", "--pubs", str(pubs), "--rosters", str(rosters)]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    tied = [position for position, (_, nu) in enumerate(rows) if nu == "0.703704"]
+    assert [rows[position][0] for position in tied] == ["v32", "v34", "v37"]
+    assert tied == list(range(tied[0], tied[0] + 3))
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))

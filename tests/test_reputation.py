@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 from rscore import (
     EmptyVenueSetError,
     ModelError,
+    RScoreError,
     ReducibleChainError,
     VenueMode,
     build_counts,
     build_reputation_model,
+    stability_sweep,
     stationary_gth,
 )
+from rscore.analysis import _prefix_scores
 from rscore.reputation import (
-    _closure,
-    _gth_stack,
-    _prefix_reputations,
+    _modelled_prefixes,
     _strongly_connected_components,
     _transition_blocks,
 )
@@ -32,7 +33,9 @@ from helpers import (
     naive_matmul,
     oracle_counts,
     oracle_model,
+    oracle_ranking,
     power_iteration,
+    prefix_corpus,
     random_corpus,
     random_stochastic,
     sparse_irreducible_stochastic,
@@ -350,21 +353,6 @@ def test_strong_components_match_scipy_on_random_digraphs():
 GTH_SIZES = (1, 2, 8, 9, 16, 17, 128, 129, 200)
 
 
-def _same_bits(gammas, matrices):
-    return [g.tobytes() for g in gammas] == [gth_one_matrix(p).tobytes() for p in matrices]
-
-
-def test_lockstep_gth_keeps_the_bits_of_one_matrix_at_a_time():
-    # every size above in one stack, behind the 1..k shape of a sweep
-    rng = np.random.default_rng(20263)
-    matrices = [sparse_irreducible_stochastic(rng, n) for n in [*range(1, 30), *GTH_SIZES[6:]]]
-    gammas, reducible = _gth_stack(matrices)
-    assert reducible is None
-    assert _same_bits(gammas, matrices)
-    for p in matrices[-3:]:
-        assert stationary_gth(p).tobytes() == gth_one_matrix(p).tobytes()
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -373,55 +361,61 @@ def test_lockstep_gth_keeps_the_bits_of_one_matrix_at_a_time():
         st.lists(st.sampled_from(GTH_SIZES), min_size=1, max_size=4).map(sorted),
     ),
 )
-def test_lockstep_gth_equals_the_one_matrix_loop(seed, sizes):
+def test_gth_equals_the_one_matrix_loop(seed, sizes):
     rng = np.random.default_rng(seed)
-    matrices = [sparse_irreducible_stochastic(rng, n) for n in sizes]
-    gammas, reducible = _gth_stack(matrices)
-    assert reducible is None
-    assert _same_bits(gammas, matrices)
+    for n in sizes:
+        p = sparse_irreducible_stochastic(rng, n)
+        assert stationary_gth(p).tobytes() == gth_one_matrix(p).tobytes()
 
 
-def test_gth_stack_solves_up_to_the_first_reducible_matrix():
-    rng = np.random.default_rng(20264)
-    solvable = [sparse_irreducible_stochastic(rng, n) for n in (2, 3)]
-    later = sparse_irreducible_stochastic(rng, 5)
-    gammas, reducible = _gth_stack([*solvable, np.eye(4), later])
-    assert _same_bits(gammas, solvable)
-    assert reducible.components == ((0,), (1,), (2,), (3,))
+def _prefix_model_error(reference, programs, size):
+    """The error that the model of the first ``size`` rows alone, over the
+    venues they publish in, raises, or None."""
+    columns = np.flatnonzero(reference[:size].any(axis=0))
+    try:
+        _, _, p_prime = _transition_blocks(reference[:size, columns], programs[:size])
+        stationary_gth(p_prime)
+    except RScoreError as exc:
+        return exc
+    return None
 
 
-def test_stacked_closure_matches_scipy_components():
-    # each graph in the bottom-right corner of its layer, as the GTH stack
-    # holds its matrices
-    csgraph = pytest.importorskip("scipy.sparse.csgraph")
-    rng = np.random.default_rng(20265)
-    for _ in range(60):
-        sizes = sorted(int(s) for s in rng.integers(1, 20, size=int(rng.integers(1, 6))))
-        n = sizes[-1]
-        graphs = [rng.random((s, s)) < rng.uniform(0.0, 0.3) for s in sizes]
-        stack = np.zeros((len(sizes), n, n), dtype=bool)
-        for layer, graph, s in zip(stack, graphs, sizes):
-            layer[n - s :, n - s :] = graph
-        for layer, graph, s in zip(_closure(stack), graphs, sizes):
-            _, labels = csgraph.connected_components(graph, directed=True, connection="strong")
-            corner = layer[n - s :, n - s :]
-            assert np.array_equal(corner & corner.T, labels[:, None] == labels[None, :])
-            # the padding reaches only itself
-            assert np.array_equal(layer[: n - s], np.eye(n, dtype=bool)[: n - s])
-            assert not layer[n - s :, : n - s].any()
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 8),
+    venues=st.integers(1, 8),
+    density=st.floats(0.0, 0.6),
+)
+def test_prefixes_are_modelled_up_to_the_first_failing_one(seed, rows, venues, density):
+    # the prefixes yielded are exactly those whose own model solves, and the
+    # first that does not raises the same error, with the same text
+    rng = np.random.default_rng(seed)
+    reference = rng.integers(1, 4, size=(rows, venues)) * (rng.random((rows, venues)) < density)
+    programs = [f"r{w}" for w in range(rows)]
+    errors = [_prefix_model_error(reference, programs, size) for size in range(1, rows + 1)]
+    failing = next((size for size, error in enumerate(errors, start=1) if error), rows + 1)
+    sizes, raised = [], None
+    try:
+        for size in _modelled_prefixes(reference, programs):
+            sizes.append(size)
+    except RScoreError as exc:
+        raised = exc
+    assert sizes == list(range(1, failing))
+    expected = errors[failing - 1] if failing <= rows else None
+    assert (type(raised), str(raised)) == (type(expected), str(expected))
 
 
 def test_gth_zero_pivot_guard_names_the_state_in_its_own_matrix(monkeypatch):
-    # the irreducibility check keeps the guard unreachable, so let every chain
-    # pass it: the 3-state chain stalls at its own state 1, global state 3 of
-    # a stack whose largest matrix has 5 states
+    # the irreducibility check keeps the guard unreachable, so let the chain
+    # pass it: it stalls at state 1
     import rscore.reputation
 
-    monkeypatch.setattr(rscore.reputation, "_closure", np.ones_like)
+    monkeypatch.setattr(rscore.reputation, "_strongly_connected_components",
+                        lambda adjacency: [list(range(len(adjacency)))])
     stalled = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    irreducible = sparse_irreducible_stochastic(np.random.default_rng(20266), 5)
     with pytest.raises(ModelError, match="^zero pivot while eliminating state 1$"):
-        _gth_stack([stalled, irreducible])
+        stationary_gth(stalled)
 
 
 def test_exact_gth_solves_a_chain_exactly():
@@ -459,16 +453,24 @@ def test_model_is_within_a_few_ulps_of_the_exact_model():
 
 
 def test_prefix_reputations_equal_the_model_of_each_prefix():
-    # each yielded prefix is the model of that prefix's rows alone, bit for bit,
-    # over the venues those rows publish in
-    counts = build_counts(random_corpus(np.random.default_rng(559), n_ref=6, hub=True))
+    # each prefix's exact model, built from that prefix's own corpus, has nu
+    # in proportion to the prefix's reference venue totals, so the sweep's
+    # exact integer scores rank as the exact model does, ties by id
+    corpus = random_corpus(np.random.default_rng(559), n_ref=6, hub=True)
+    counts = build_counts(corpus)
     t = len(counts.reference_programs)
-    reference = counts.matrix[:t]
-    prefixes = list(_prefix_reputations(reference, counts.reference_programs, t))
-    assert len(prefixes) == t
-    for size, (columns, nu) in enumerate(prefixes, start=1):
-        assert columns.tolist() == np.flatnonzero(reference[:size].any(axis=0)).tolist()
-        programs = counts.reference_programs[:size]
-        _, beta, p_prime = _transition_blocks(reference[:size, columns], programs)
-        expected = gth_one_matrix(p_prime) @ beta
-        assert nu.tobytes() == (expected / expected.max()).tobytes()
+    totals = np.cumsum(counts.matrix[:t], axis=0).tolist()
+    scores = _prefix_scores(counts.matrix[t:], counts.matrix[:t]).T.tolist()
+    report = stability_sweep(corpus, t)
+    for size in range(1, t + 1):
+        prefix = prefix_corpus(corpus, size)
+        *_, nu = oracle_model(prefix)
+        # the prefix's venues are those with a paper in its rows, in table order
+        prefix_totals = [n for n in totals[size - 1] if n]
+        top = max(prefix_totals)
+        assert nu == [Fraction(n, top) for n in prefix_totals]
+        exact = oracle_ranking(prefix)
+        assert [Fraction(int(score), top) for score in scores[size - 1]] == [
+            dict(exact)[pid] for pid in counts.candidate_programs
+        ]
+        assert report.rankings[size] == tuple(pid for pid, _ in exact)

@@ -268,7 +268,7 @@ def test_scores_add_venues_left_to_right():
     assert float(np.sum(np.array(products))) != expected
 
     assert _raw_score(model, counts, "cand") == expected
-    # the stability sweep's call: the candidate rows' nonzero cells
+    # the kernel on the candidate rows' nonzero cells alone
     assert _raw_scores(_nonzero_cells(counts.matrix[1:]), model.nu, 1).tolist() == [expected]
 
 
