@@ -312,10 +312,15 @@ def test_sweep_report_does_not_depend_on_the_product_dtype(monkeypatch):
     assert stability_sweep(corpus, 9) == whole
 
 
-def test_sweep_names_the_smallest_failing_size_first():
+@pytest.mark.parametrize("exact_float", [1, 1 << 20])
+def test_sweep_names_the_smallest_failing_size_first(exact_float, monkeypatch):
     # size 2 is reducible (its two programs share no venue), and size 3 has
     # a reference program with no paper; the sweep must name size 2, as a
-    # prefix-by-prefix solve does
+    # prefix-by-prefix solve does, whether the prefix scores are an int64
+    # (cap 1) or a float64 (cap 2**20) product
+    import rscore.analysis
+
+    monkeypatch.setattr(rscore.analysis, "_EXACT_FLOAT", exact_float)
     pubs = [
         ("p1", "v1", 2010, ["a1"]),
         ("p2", "v2", 2010, ["b1"]),
